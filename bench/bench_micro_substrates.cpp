@@ -5,24 +5,28 @@
 // Two modes:
 //   (default)            google-benchmark over the substrate ops.
 //   --json PATH [--smoke] machine-readable ML-kernel timings: GEMM, MLP
-//                         forward/backward, SVM train/predict and batched
-//                         Q-scoring, each against its naive scalar
-//                         reference where one exists, written as
-//                         mobirescue-bench-v1 JSON (see bench_json.hpp).
+//                         forward/backward, SVM train/predict, batched
+//                         Q-scoring and the dispatch assignment, each
+//                         against its naive scalar reference where one
+//                         exists, written as mobirescue-bench-v1 JSON (see
+//                         bench_json.hpp).
 //                         --smoke shrinks every problem so the whole run
 //                         fits in a CI smoke test.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "ml/nn/mlp.hpp"
 #include "ml/svm/kernel.hpp"
 #include "ml/svm/svm.hpp"
+#include "opt/hungarian.hpp"
 #include "rl/dqn_agent.hpp"
 #include "roadnet/city_builder.hpp"
 #include "roadnet/router.hpp"
@@ -342,6 +346,51 @@ int RunJsonMode(const std::string& path, bool smoke) {
                }
              },
              min_time_s);
+  }
+
+  // Assignment: the short-side solver vs the zero-padded reference it
+  // replaced, on dispatch-shaped rounds (teams x candidate instances):
+  // big_fleet, learning_day and metro_crowd's mean serving shapes, and the
+  // 1,000-team scale. A cost is a negated margin, the candidate's value
+  // less the team's distance to it; half the teams are co-located at 8
+  // hospitals, and a pair is unreachable (kForbiddenCost) one time in 4.
+  {
+    using Shape = std::pair<std::size_t, std::size_t>;
+    const std::vector<Shape> shapes =
+        smoke ? std::vector<Shape>{{24, 9}, {8, 13}}
+              : std::vector<Shape>{{253, 88}, {77, 129}, {59, 127},
+                                   {1000, 300}};
+    std::vector<std::pair<double, double>> hospitals(8);
+    for (auto& hospital : hospitals) hospital = {rng.Uniform(), rng.Uniform()};
+    for (const auto& [rows, cols] : shapes) {
+      std::vector<std::pair<double, double>> teams(rows);
+      for (auto& team : teams) {
+        team = rng.Bernoulli(0.5) ? hospitals[rng.Index(hospitals.size())]
+                                  : std::pair{rng.Uniform(), rng.Uniform()};
+      }
+      opt::AssignmentProblem problem;
+      problem.rows = rows;
+      problem.cols = cols;
+      problem.cost.resize(rows * cols);
+      for (std::size_t c = 0; c < cols; ++c) {
+        const double x = rng.Uniform(), y = rng.Uniform();
+        const double value = rng.Uniform(0.0, 2.0);
+        for (std::size_t r = 0; r < rows; ++r) {
+          const double distance =
+              std::hypot(teams[r].first - x, teams[r].second - y);
+          problem.at(r, c) = rng.Bernoulli(0.25) ? opt::kForbiddenCost
+                                                 : 3.0 * distance - value;
+        }
+      }
+      TimePair(records, "assign",
+               "rows=" + std::to_string(rows) + ",cols=" + std::to_string(cols),
+               [&] { benchmark::DoNotOptimize(opt::SolveAssignment(problem)); },
+               [&] {
+                 benchmark::DoNotOptimize(
+                     opt::SolveAssignmentReference(problem));
+               },
+               min_time_s);
+    }
   }
 
   bench::WriteBenchJsonFile(path, smoke ? "micro-smoke" : "micro", records);

@@ -1,6 +1,7 @@
 #include "dispatch/mobirescue_dispatcher.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <unordered_set>
@@ -29,6 +30,55 @@ double MobiRescueDispatcher::HeuristicPrior(
   return 2.0 * features[1] + 2.0 * features[10] - features[0] - features[9];
 }
 
+std::vector<sim::TeamAction> MobiRescueDispatcher::AssignByMargin(
+    const RoundCapture& layout, const std::vector<double>& qs) {
+  // Scores: prior + Q per (team, candidate); margin over the team's depot
+  // value. Positive margin means the pair is worth serving.
+  opt::AssignmentProblem problem;
+  problem.rows = layout.rows.size();
+  problem.cols = layout.columns.size();
+  problem.cost.assign(problem.rows * problem.cols, opt::kForbiddenCost);
+  std::vector<double> by_candidate(layout.candidates.size());
+  for (std::size_t r = 0; r < problem.rows; ++r) {
+    const std::size_t depot = layout.team_begin[r];
+    const double depot_score =
+        layout.prior_weight * HeuristicPrior(layout.feature_rows[depot]) +
+        qs[depot];
+    // Score each distinct candidate once, then spread to its columns.
+    std::fill(by_candidate.begin(), by_candidate.end(),
+              -std::numeric_limits<double>::infinity());
+    for (std::size_t i = 0; i < layout.candidates.size(); ++i) {
+      const std::size_t row = layout.cand_row[r][i];
+      if (row == SIZE_MAX) continue;
+      by_candidate[i] =
+          layout.prior_weight * HeuristicPrior(layout.feature_rows[row]) +
+          qs[row] - depot_score;
+    }
+    for (std::size_t c = 0; c < problem.cols; ++c) {
+      const double m = by_candidate[layout.columns[c]];
+      if (std::isfinite(m)) problem.at(r, c) = -m;  // Hungarian minimises
+    }
+  }
+  const opt::AssignmentResult result = opt::SolveAssignment(problem);
+  std::vector<sim::TeamAction> actions(problem.rows);
+  for (std::size_t r = 0; r < problem.rows; ++r) {
+    const int col = result.row_to_col[r];
+    // The solver never returns a forbidden cell, so an assigned cell holds
+    // the negated margin: a negative cost is a positive margin. Otherwise
+    // the team stands down in place (kKeep): it stops serving (it is not
+    // counted as a serving team) but stays staged where it is — typically
+    // the hospital it last delivered to — instead of burning fuel on a trek
+    // to the dispatching centre.
+    if (col < 0 || problem.at(r, static_cast<std::size_t>(col)) >= 0.0) {
+      continue;
+    }
+    actions[r].kind = sim::ActionKind::kGoto;
+    actions[r].target =
+        layout.candidates[layout.columns[static_cast<std::size_t>(col)]];
+  }
+  return actions;
+}
+
 void MobiRescueDispatcher::DecideByAssignment(
     const sim::DispatchContext& context, RoundData& round,
     std::unordered_set<roadnet::SegmentId>& pending_now,
@@ -36,14 +86,14 @@ void MobiRescueDispatcher::DecideByAssignment(
   // A round that ends on an early return was not scored — its capture
   // stays invalid (the learner just accrues rewards on such rounds).
   if (capture_enabled_) capture_ = RoundCapture{};
+  RoundCapture scored;
   // Serving teams keep their legs, with the pending-swing exception.
-  std::vector<std::size_t> rows;  // decidable teams
   for (std::size_t k = 0; k < context.teams.size(); ++k) {
     const sim::TeamView& team = context.teams[k];
     sim::TeamAction& action = decision.actions[k];
     if (team.mode == sim::TeamMode::kIdle ||
         team.mode == sim::TeamMode::kToDepot) {
-      rows.push_back(k);
+      scored.rows.push_back(k);  // decidable
       continue;
     }
     action.kind = sim::ActionKind::kKeep;
@@ -66,110 +116,60 @@ void MobiRescueDispatcher::DecideByAssignment(
       pending_now.erase(action.target);
     }
   }
-  if (rows.empty()) return;
+  if (scored.rows.empty()) return;
   if (round.candidates.empty()) {
-    for (std::size_t k : rows) decision.actions[k].kind = sim::ActionKind::kDepot;
+    for (std::size_t k : scored.rows) {
+      decision.actions[k].kind = sim::ActionKind::kDepot;
+    }
     return;
   }
 
   // Columns: candidate instances, replicated for multi-person demand so
   // several teams can be sent to a deep cluster.
-  std::vector<std::size_t> columns;  // candidate index per column
   for (std::size_t i = 0; i < round.candidates.size(); ++i) {
     int copies = 1;
     const auto it = round.demand.find(round.candidates[i]);
     if (it != round.demand.end() && it->second > 5) {
       copies = std::min(3, (it->second + 4) / 5);
     }
-    for (int c = 0; c < copies; ++c) columns.push_back(i);
+    for (int c = 0; c < copies; ++c) scored.columns.push_back(i);
   }
 
-  // Scores: prior + Q per (team, candidate); margin over the team's depot
-  // value. Positive margin means the pair is worth serving. All (team,
-  // action) feature rows of the round — each team's depot row plus its
-  // reachable candidates — go through ONE batched Q-network pass; entry
-  // order makes every row's Q bit-identical to a per-row evaluation.
-  std::vector<std::vector<double>> feature_rows;
-  std::vector<std::size_t> team_begin(rows.size());   // depot row per team
-  std::vector<std::vector<std::size_t>> cand_row(
-      rows.size(),
-      std::vector<std::size_t>(round.candidates.size(), SIZE_MAX));
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const sim::TeamView& team = context.teams[rows[r]];
-    team_begin[r] = feature_rows.size();
-    feature_rows.push_back(featurizer_.Features(
+  // All (team, action) feature rows of the round — each team's depot row
+  // plus its reachable candidates — go through ONE batched Q-network pass;
+  // entry order makes every row's Q bit-identical to a per-row evaluation.
+  const std::size_t num_rows = scored.rows.size();
+  scored.team_begin.resize(num_rows);
+  scored.cand_row.assign(
+      num_rows, std::vector<std::size_t>(round.candidates.size(), SIZE_MAX));
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    const sim::TeamView& team = context.teams[scored.rows[r]];
+    scored.team_begin[r] = scored.feature_rows.size();
+    scored.feature_rows.push_back(featurizer_.Features(
         round, team, round.candidates.size(), &context.teams));
     for (std::size_t i = 0; i < round.candidates.size(); ++i) {
       if (!round.trees[i]->Reachable(team.at)) continue;
-      cand_row[r][i] = feature_rows.size();
-      feature_rows.push_back(
+      scored.cand_row[r][i] = scored.feature_rows.size();
+      scored.feature_rows.push_back(
           featurizer_.Features(round, team, i, &context.teams));
     }
   }
-  const std::vector<double> qs = agent_->QValues(feature_rows);
+  scored.live_q = agent_->QValues(scored.feature_rows);
+  scored.candidates = round.candidates;
+  scored.prior_weight = config_.prior_weight;
 
-  opt::AssignmentProblem problem;
-  problem.rows = rows.size();
-  problem.cols = columns.size();
-  problem.cost.assign(problem.rows * problem.cols, opt::kForbiddenCost);
-  std::vector<std::vector<double>> margin(rows.size(),
-                                          std::vector<double>(columns.size()));
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const double depot_score =
-        config_.prior_weight * HeuristicPrior(feature_rows[team_begin[r]]) +
-        qs[team_begin[r]];
-    // Score each distinct candidate once, then spread to its columns.
-    std::vector<double> by_candidate(round.candidates.size(),
-                                     -std::numeric_limits<double>::infinity());
-    for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-      const std::size_t row = cand_row[r][i];
-      if (row == SIZE_MAX) continue;
-      by_candidate[i] =
-          config_.prior_weight * HeuristicPrior(feature_rows[row]) +
-          qs[row] - depot_score;
-    }
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-      const double m = by_candidate[columns[c]];
-      margin[r][c] = m;
-      if (std::isfinite(m)) {
-        problem.at(r, c) = -m;  // Hungarian minimises
-      }
-    }
-  }
-  const opt::AssignmentResult result = opt::SolveAssignment(problem);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::size_t k = rows[r];
-    sim::TeamAction& action = decision.actions[k];
-    const int col = result.row_to_col[r];
-    if (col >= 0 && margin[r][static_cast<std::size_t>(col)] > 0.0) {
-      action.kind = sim::ActionKind::kGoto;
-      action.target = round.candidates[columns[static_cast<std::size_t>(col)]];
-    } else {
-      // Stand down in place: the team stops serving (it is not counted as
-      // a serving team) but stays staged where it is — typically the
-      // hospital it last delivered to — instead of burning fuel on a trek
-      // to the dispatching centre.
-      action.kind = sim::ActionKind::kKeep;
-    }
+  std::vector<sim::TeamAction> actions = AssignByMargin(scored, scored.live_q);
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    decision.actions[scored.rows[r]] = actions[r];
   }
 
   if (capture_enabled_) {
     // Hand the round's scored action space to the learning subsystem.
-    // Everything below was already computed for the live decision; the
-    // vectors consumed past this point are moved, not copied.
-    capture_.valid = true;
-    capture_.live_actions.reserve(rows.size());
-    for (const std::size_t k : rows) {
-      capture_.live_actions.push_back(decision.actions[k]);
-    }
-    capture_.rows = std::move(rows);
-    capture_.team_begin = std::move(team_begin);
-    capture_.cand_row = std::move(cand_row);
-    capture_.columns = std::move(columns);
-    capture_.candidates = round.candidates;
-    capture_.live_q = qs;
-    capture_.prior_weight = config_.prior_weight;
-    capture_.feature_rows = std::move(feature_rows);
+    // Everything in it was already computed for the live decision; it is
+    // moved, not copied.
+    scored.valid = true;
+    scored.live_actions = std::move(actions);
+    capture_ = std::move(scored);
   }
 }
 
@@ -256,36 +256,11 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
     sim::TeamAction& action = decision.actions[k];
     // Commitment semantics: a team mid-leg finishes its leg; idle teams and
     // depot-bound teams (standing down is always interruptible) receive new
-    // decisions. Exception (the paper's real-time route adjustment):
-    // outside training, a serving team swings to a candidate with an
-    // *appeared* request when that is a decisive improvement over finishing
-    // its current leg.
+    // decisions.
     const bool decidable = team.mode == sim::TeamMode::kIdle ||
                            team.mode == sim::TeamMode::kToDepot;
     if (!decidable) {
       action.kind = sim::ActionKind::kKeep;
-      if (!config_.training && team.mode == sim::TeamMode::kToTarget) {
-        std::size_t best_idx = round.candidates.size();  // none
-        double best_time = team.leg_remaining_s - config_.retarget_margin_s;
-        for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-          const roadnet::SegmentId seg = round.candidates[i];
-          if (seg == team.target_segment) continue;
-          if (!pending_now.count(seg)) continue;
-          const auto& tree = *round.trees[i];
-          if (!tree.Reachable(team.at)) continue;
-          if (tree.time_s[team.at] < best_time) {
-            best_time = tree.time_s[team.at];
-            best_idx = i;
-          }
-        }
-        if (best_idx < round.candidates.size()) {
-          action.kind = sim::ActionKind::kGoto;
-          action.target = round.candidates[best_idx];
-          pending_now.erase(action.target);  // claimed by this swing
-          auto it = round.demand.find(action.target);
-          if (it != round.demand.end()) it->second = 0;
-        }
-      }
       continue;
     }
 
@@ -295,7 +270,7 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
         featurizer_.FeaturesFor(round, team, action_set, &context.teams);
 
     // The team is idle: its previous macro-transition (if any) is complete.
-    if (config_.training && pending_[k].valid) {
+    if (pending_[k].valid) {
       rl::Transition t;
       t.features = std::move(pending_[k].features);
       t.reward = pending_[k].accumulated;
@@ -311,7 +286,7 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
       continue;
     }
     std::size_t local_idx = 0;
-    if (config_.training && agent_->ExploreNow()) {
+    if (agent_->ExploreNow()) {
       local_idx = agent_->RandomAction(features.size());
     } else {
       // One batched Q pass over the team's whole action set.
@@ -350,12 +325,10 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
         round.total_demand = std::max(0.0, round.total_demand - absorbed);
       }
     }
-    if (config_.training) {
-      pending_[k].features = std::move(features[local_idx]);
-      pending_[k].accumulated = -gamma_charge;
-      pending_[k].rounds = 0;
-      pending_[k].valid = true;
-    }
+    pending_[k].features = std::move(features[local_idx]);
+    pending_[k].accumulated = -gamma_charge;
+    pending_[k].rounds = 0;
+    pending_[k].valid = true;
   }
 
   // Realisation pass: the policy has decided *which* destination segments
@@ -402,26 +375,22 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
     }
     // Keep the learning attribution consistent with what each team will
     // actually do: re-featurise the assigned destination.
-    if (config_.training) {
-      for (std::size_t r = 0; r < goers.size(); ++r) {
-        const std::size_t k = goers[r];
-        if (!pending_[k].valid) continue;
-        for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-          if (round.candidates[i] == decision.actions[k].target) {
-            pending_[k].features =
-                featurizer_.Features(round, context.teams[k], i,
-                                     &context.teams);
-            break;
-          }
+    for (std::size_t r = 0; r < goers.size(); ++r) {
+      const std::size_t k = goers[r];
+      if (!pending_[k].valid) continue;
+      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
+        if (round.candidates[i] == decision.actions[k].target) {
+          pending_[k].features =
+              featurizer_.Features(round, context.teams[k], i,
+                                   &context.teams);
+          break;
         }
       }
     }
   }
 
-  if (config_.training) {
-    for (int i = 0; i < config_.train_steps_per_round; ++i) {
-      last_loss_ = agent_->TrainStep();
-    }
+  for (int i = 0; i < config_.train_steps_per_round; ++i) {
+    last_loss_ = agent_->TrainStep();
   }
   return decision;
 }

@@ -124,6 +124,16 @@ class MobiRescueDispatcher : public sim::Dispatcher {
   /// distance- and competition-averse, 0 for the depot action.
   static double HeuristicPrior(const std::vector<double>& features);
 
+  /// The joint action of a scored round under Q-values `qs` (parallel to
+  /// `layout.feature_rows`; only the layout fields are read): each
+  /// decidable team's prior + Q margin over its depot row, one
+  /// maximum-margin assignment of teams to `layout.columns`, and kGoto to
+  /// the assigned candidate where the margin is positive, else kKeep. One
+  /// action per `layout.rows` entry. The live decision and the learning
+  /// subsystem's shadow policies both decide through it.
+  static std::vector<sim::TeamAction> AssignByMargin(
+      const RoundCapture& layout, const std::vector<double>& qs);
+
   /// Round capture for the learning subsystem: when enabled, every
   /// evaluation-mode Decide() stores the round's scored action space in
   /// last_capture(). Off by default — frozen-policy serving pays nothing.

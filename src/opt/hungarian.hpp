@@ -1,5 +1,6 @@
 // Exact minimum-cost assignment (Hungarian algorithm, Jonker-style potential
-// formulation, O(n^3)).
+// formulation). A rows x cols problem is solved on its short side, with no
+// padding: O(min^2 * max) for min = min(rows, cols), max = max(rows, cols).
 //
 // This is the integer-programming core of both baselines: `Schedule` [5] and
 // `Rescue` [8] assign rescue teams to (appeared / predicted) request
@@ -31,8 +32,25 @@ struct AssignmentResult {
 /// Solves min-cost assignment. Rectangular matrices are supported: if
 /// rows > cols some rows stay unassigned; if cols > rows some columns stay
 /// unused. Infeasible pairs can be encoded with a large finite cost (use
-/// kForbiddenCost); truly infinite costs are rejected.
+/// kForbiddenCost); truly infinite costs are rejected, and a forbidden cell
+/// is never returned as an assignment.
+///
+/// Shortest augmenting paths with potentials run from the shorter side and
+/// scan the longer one; a problem with rows > cols is solved on a
+/// transposed copy of its costs. A square problem runs exactly the
+/// arithmetic of SolveAssignmentReference, so its result is bit-identical.
+/// A rectangular one reaches an optimum of the same total cost, but where
+/// several assignments tie exactly (two co-located teams with identical
+/// costs, replicated demand columns) it may return a different one of
+/// them.
 AssignmentResult SolveAssignment(const AssignmentProblem& problem);
+
+/// The zero-padded solver SolveAssignment replaced: pads a rectangular
+/// problem to max(rows, cols) squared with zero-cost dummy cells and runs
+/// the same potentials pass over it, O(max^3). Kept as the reference the
+/// differential tests and the microbenchmark compare against; no dispatcher
+/// calls it.
+AssignmentResult SolveAssignmentReference(const AssignmentProblem& problem);
 
 /// Cost treated as "do not assign" — large enough to lose to any real cost,
 /// small enough to avoid overflow inside the potentials.
