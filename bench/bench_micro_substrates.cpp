@@ -6,10 +6,10 @@
 //   (default)            google-benchmark over the substrate ops.
 //   --json PATH [--smoke] machine-readable ML-kernel timings: GEMM, MLP
 //                         forward/backward, SVM train/predict, batched
-//                         Q-scoring and the dispatch assignment, each
-//                         against its naive scalar reference where one
-//                         exists, written as mobirescue-bench-v1 JSON (see
-//                         bench_json.hpp).
+//                         Q-scoring, the dispatch assignment and the SVM
+//                         demand refresh, each against its naive scalar
+//                         reference where one exists, written as
+//                         mobirescue-bench-v1 JSON (see bench_json.hpp).
 //                         --smoke shrinks every problem so the whole run
 //                         fits in a CI smoke test.
 #include <benchmark/benchmark.h>
@@ -23,14 +23,18 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "core/pipeline.hpp"
+#include "core/world.hpp"
 #include "ml/nn/mlp.hpp"
 #include "ml/svm/kernel.hpp"
 #include "ml/svm/svm.hpp"
 #include "opt/hungarian.hpp"
+#include "predict/svm_predictor.hpp"
 #include "rl/dqn_agent.hpp"
 #include "roadnet/city_builder.hpp"
 #include "roadnet/router.hpp"
 #include "roadnet/spatial_index.hpp"
+#include "sim/population_tracker.hpp"
 #include "util/rng.hpp"
 #include "weather/flood_model.hpp"
 #include "weather/scenario.hpp"
@@ -208,6 +212,28 @@ ml::SvmDataset BlobDataset(std::size_t n, util::Rng& rng) {
              positive ? 1 : -1);
   }
   return data;
+}
+
+// Per-person scalar reference for the demand refresh: per person a
+// heap-allocated factor row and z-scored row, the dual sum over every
+// support vector, and a scalar nearest-segment lookup per positive.
+predict::Distribution NaivePredictDistribution(
+    const predict::SvmRequestPredictor& predictor,
+    const weather::FactorSampler& factors,
+    const std::vector<mobility::GpsRecord>& snapshot, util::SimTime t,
+    const roadnet::SpatialIndex& index) {
+  predict::Distribution dist;
+  for (const mobility::GpsRecord& r : snapshot) {
+    const weather::FactorVector h = factors.At(r.pos, t);
+    const std::vector<double> row = predictor.scaler().Transform(
+        std::vector<double>{h.precipitation_mm, h.wind_mph, h.altitude_m});
+    if (NaiveDecisionValue(predictor.model(), row) < predictor.threshold()) {
+      continue;
+    }
+    const roadnet::SegmentId seg = index.NearestSegment(r.pos);
+    if (seg != roadnet::kInvalidSegment) ++dist[seg];
+  }
+  return dist;
 }
 
 void TimePair(std::vector<bench::BenchRecord>& records, const std::string& op,
@@ -388,6 +414,65 @@ int RunJsonMode(const std::string& path, bool smoke) {
                [&] {
                  benchmark::DoNotOptimize(
                      opt::SolveAssignmentReference(problem));
+               },
+               min_time_s);
+    }
+  }
+
+  // Demand refresh: PredictDistribution vs the per-person scalar
+  // reference, on the paper world (--smoke: a small one) at 09:00 of the
+  // evaluation day. The day's snapshot is replicated to the target size,
+  // each copy jittered by GPS-like noise (~11 m) so lookups do not repeat.
+  {
+    core::WorldConfig config;
+    if (smoke) {
+      config.city.grid_width = 8;
+      config.city.grid_height = 8;
+      config.city.num_hospitals = 3;
+      config.trace.population.num_people = 250;
+    }
+    const core::World world = core::BuildWorld(config);
+    // Bound to the training storm's factors, as core::TrainSvmPredictor
+    // binds them for the batch pipeline and the served-day benchmark.
+    const weather::FactorSampler& factors = *world.train.factors;
+    const auto trained = core::TrainSvmPredictor(world);
+    const predict::SvmRequestPredictor svm(factors, trained->model(),
+                                           trained->scaler(),
+                                           trained->threshold());
+    const int day = world.eval.spec.eval_day;
+    const util::SimTime t = 9 * 3600.0;
+    const double offset = day * util::kSecondsPerDay;
+    sim::PopulationTracker tracker(
+        sim::DaySlice(world.eval.trace.records, day));
+    const std::vector<mobility::GpsRecord> base = tracker.Snapshot(t);
+    for (const std::size_t people :
+         smoke ? std::vector<std::size_t>{500}
+               : std::vector<std::size_t>{2000, 50000, 1000000}) {
+      std::vector<mobility::GpsRecord> snapshot(people);
+      for (std::size_t i = 0; i < people; ++i) {
+        snapshot[i] = base[i % base.size()];
+        snapshot[i].person = static_cast<mobility::PersonId>(i);
+        snapshot[i].pos.lat += rng.Normal(0.0, 1e-4);
+        snapshot[i].pos.lon += rng.Normal(0.0, 1e-4);
+      }
+      if (svm.PredictDistribution(snapshot, t, offset, *world.index) !=
+          NaivePredictDistribution(svm, factors, snapshot,
+                                   t + offset, *world.index)) {
+        std::fprintf(stderr, "predict_distribution: paths disagree at %zu\n",
+                     people);
+        return 1;
+      }
+      TimePair(records, "predict_distribution",
+               "people=" + std::to_string(people) +
+                   ",nsv=" + std::to_string(svm.model().num_support_vectors()),
+               [&] {
+                 benchmark::DoNotOptimize(svm.PredictDistribution(
+                     snapshot, t, offset, *world.index));
+               },
+               [&] {
+                 benchmark::DoNotOptimize(NaivePredictDistribution(
+                     svm, factors, snapshot, t + offset,
+                     *world.index));
                },
                min_time_s);
     }

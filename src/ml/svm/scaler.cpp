@@ -29,14 +29,19 @@ void FeatureScaler::Fit(std::span<const std::vector<double>> rows) {
   }
 }
 
-std::vector<double> FeatureScaler::Transform(std::span<const double> row) const {
-  if (row.size() != mean_.size()) {
+void FeatureScaler::TransformInto(std::span<const double> in,
+                                  std::span<double> out) const {
+  if (in.size() != mean_.size() || out.size() != in.size()) {
     throw std::invalid_argument("FeatureScaler: dimension mismatch");
   }
-  std::vector<double> out(row.size());
-  for (std::size_t j = 0; j < row.size(); ++j) {
-    out[j] = (row[j] - mean_[j]) / std_[j];
+  for (std::size_t j = 0; j < in.size(); ++j) {
+    out[j] = (in[j] - mean_[j]) / std_[j];
   }
+}
+
+std::vector<double> FeatureScaler::Transform(std::span<const double> row) const {
+  std::vector<double> out(row.size());
+  TransformInto(row, out);
   return out;
 }
 

@@ -15,7 +15,11 @@ class FeatureScaler {
   /// Learns per-feature mean/std from rows of equal length.
   void Fit(std::span<const std::vector<double>> rows);
 
-  /// z-scores one row (constant features pass through centred).
+  /// z-scores `in` into `out` (constant features pass through centred).
+  /// Both must have the fitted dimension; an unfitted scaler throws.
+  void TransformInto(std::span<const double> in, std::span<double> out) const;
+
+  /// TransformInto a fresh vector.
   std::vector<double> Transform(std::span<const double> row) const;
 
   std::vector<std::vector<double>> TransformAll(

@@ -63,9 +63,27 @@ SvmModel::SvmModel(KernelConfig kernel,
     }
     sv_flat_.insert(sv_flat_.end(), sv.begin(), sv.end());
   }
+  if (kernel_.type == KernelType::kLinear) {
+    w_.assign(dim_, 0.0);
+    for (std::size_t i = 0; i < coeff_.size(); ++i) {
+      for (std::size_t j = 0; j < dim_; ++j) {
+        w_[j] += coeff_[i] * sv_flat_[i * dim_ + j];
+      }
+    }
+  }
+}
+
+double SvmModel::Primal(std::span<const double> x) const {
+  if (!coeff_.empty() && x.size() != dim_) {
+    throw std::invalid_argument("SvmModel: dimension mismatch");
+  }
+  double dot = 0.0;
+  for (std::size_t j = 0; j < w_.size(); ++j) dot += w_[j] * x[j];
+  return bias_ + dot;
 }
 
 double SvmModel::DecisionValue(std::span<const double> features) const {
+  if (kernel_.type == KernelType::kLinear) return Primal(features);
   double v = bias_;
   for (std::size_t i = 0; i < coeff_.size(); ++i) {
     const std::span<const double> sv(sv_flat_.data() + i * dim_, dim_);
@@ -76,21 +94,28 @@ double SvmModel::DecisionValue(std::span<const double> features) const {
 
 std::vector<double> SvmModel::DecisionValues(
     const std::vector<std::vector<double>>& rows) const {
-  // Flatten the query rows once, then stream both operands contiguously.
-  // Per-row accumulation over support vectors runs in the same ascending
-  // order as DecisionValue, so results match it bit for bit.
+  // Entry r is bit-identical to DecisionValue(rows[r]): the linear kernel
+  // runs the same primal dot product, the others flatten the query rows
+  // once and stream both operands contiguously, accumulating over support
+  // vectors in the same ascending order as DecisionValue.
   OBS_SPAN("svm.decision_values");
   const std::size_t d =
       rows.empty() ? dim_ : rows.front().size();
-  std::vector<double> q_flat;
-  q_flat.reserve(rows.size() * d);
   for (const std::vector<double>& row : rows) {
     if (row.size() != d) {
       throw std::invalid_argument("DecisionValues: ragged rows");
     }
-    q_flat.insert(q_flat.end(), row.begin(), row.end());
   }
   std::vector<double> out(rows.size());
+  if (kernel_.type == KernelType::kLinear) {
+    for (std::size_t r = 0; r < rows.size(); ++r) out[r] = Primal(rows[r]);
+    return out;
+  }
+  std::vector<double> q_flat;
+  q_flat.reserve(rows.size() * d);
+  for (const std::vector<double>& row : rows) {
+    q_flat.insert(q_flat.end(), row.begin(), row.end());
+  }
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const std::span<const double> x(q_flat.data() + r * d, d);
     double v = bias_;

@@ -41,18 +41,22 @@ struct SvmConfig {
 /// A trained SVM: the support vectors, their alpha*y coefficients and bias.
 /// Support vectors are additionally stored as one contiguous row-major
 /// buffer so decision evaluation streams through memory instead of chasing
-/// per-vector allocations.
+/// per-vector allocations. A linear-kernel model also folds them into the
+/// primal weights w = sum_i coeff_i * sv_i at construction and evaluates
+/// bias + w.x: O(dim) per row instead of O(num_sv * dim). The primal value
+/// differs from the dual sum only by rounding (not bitwise).
 class SvmModel {
  public:
   SvmModel() = default;
   SvmModel(KernelConfig kernel, std::vector<std::vector<double>> support_x,
            std::vector<double> coeff, double bias);
 
-  /// Signed decision value; >= 0 classifies as +1.
+  /// Signed decision value; >= 0 classifies as +1. Throws on a feature
+  /// dimension other than the support vectors'.
   double DecisionValue(std::span<const double> features) const;
 
-  /// Decision values for many rows in one cache-friendly pass over the
-  /// flattened support vectors. Entry i is bit-identical to
+  /// Decision values for many rows (non-linear kernels: one cache-friendly
+  /// pass over the flattened support vectors). Entry i is bit-identical to
   /// DecisionValue(rows[i]).
   std::vector<double> DecisionValues(
       const std::vector<std::vector<double>>& rows) const;
@@ -74,6 +78,9 @@ class SvmModel {
   double coefficient(std::size_t i) const { return coeff_.at(i); }
 
  private:
+  /// bias + w.x for the linear kernel.
+  double Primal(std::span<const double> x) const;
+
   KernelConfig kernel_;
   std::vector<std::vector<double>> support_x_;
   std::vector<double> coeff_;  // alpha_i * y_i
@@ -81,6 +88,8 @@ class SvmModel {
   // Row-major (num_sv x dim) copy of support_x_ for contiguous evaluation.
   std::vector<double> sv_flat_;
   std::size_t dim_ = 0;
+  // Primal weights (linear kernel only; empty otherwise).
+  std::vector<double> w_;
 };
 
 /// Trains an SVM on the dataset with simplified SMO.

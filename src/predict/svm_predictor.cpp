@@ -1,7 +1,10 @@
 #include "predict/svm_predictor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <unordered_set>
+
+#include "obs/trace.hpp"
 
 namespace mobirescue::predict {
 
@@ -189,30 +192,51 @@ SvmRequestPredictor::SvmRequestPredictor(
 
 bool SvmRequestPredictor::PredictPerson(const util::GeoPoint& pos,
                                         util::SimTime t) const {
-  const weather::FactorVector h = factors_.At(pos, t);
-  const std::vector<double> row =
-      scaler_.Transform(std::vector<double>{h.precipitation_mm, h.wind_mph,
-                                            h.altitude_m});
+  const std::array<double, 3> raw = factors_.At(pos, t).AsArray();
+  std::array<double, 3> row;
+  scaler_.TransformInto(raw, row);
   return model_.DecisionValue(row) >= threshold_;
 }
 
 Distribution SvmRequestPredictor::PredictDistribution(
     const std::vector<mobility::GpsRecord>& snapshot, util::SimTime t,
     double time_offset, const roadnet::SpatialIndex& index) const {
-  // Scale every snapshot row first, then classify the whole batch in one
-  // DecisionValues pass; only positives pay for the spatial-index lookup.
-  std::vector<std::vector<double>> rows;
-  rows.reserve(snapshot.size());
+  OBS_SPAN("predict.refresh");
+  // Classify each person in one pass (a stack row, no allocation); only
+  // the positives' positions are kept for the spatial lookup.
+  std::vector<util::GeoPoint> positives;
+  positives.reserve(snapshot.size());
   for (const mobility::GpsRecord& r : snapshot) {
-    const weather::FactorVector h = factors_.At(r.pos, t + time_offset);
-    rows.push_back(scaler_.Transform(
-        std::vector<double>{h.precipitation_mm, h.wind_mph, h.altitude_m}));
+    if (PredictPerson(r.pos, t + time_offset)) positives.push_back(r.pos);
   }
-  const std::vector<double> values = model_.DecisionValues(rows);
+
+  // Resolve every positive in one batched lookup, grouped by grid cell
+  // (a stable counting sort, as serve::StreamState groups its batches) so
+  // consecutive queries scan the same candidate block. slot[i] is where
+  // positive i landed in the grouped order.
+  const std::size_t n = positives.size();
+  std::vector<std::size_t> cell_start(index.num_cells() + 1, 0);
+  std::vector<std::size_t> slot(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    slot[i] = index.CellOf(positives[i]);
+    ++cell_start[slot[i] + 1];
+  }
+  for (std::size_t c = 1; c < cell_start.size(); ++c) {
+    cell_start[c] += cell_start[c - 1];
+  }
+  std::vector<util::GeoPoint> grouped(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    slot[i] = cell_start[slot[i]]++;
+    grouped[slot[i]] = positives[i];
+  }
+  std::vector<roadnet::SegmentId> segments(n);
+  index.NearestSegments(grouped.data(), n, -1.0, segments.data());
+
+  // Count in snapshot order, so the map is built in the same insertion
+  // order as a per-person loop would build it.
   Distribution dist;
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    if (values[i] < threshold_) continue;
-    const roadnet::SegmentId seg = index.NearestSegment(snapshot[i].pos);
+  for (std::size_t i = 0; i < n; ++i) {
+    const roadnet::SegmentId seg = segments[slot[i]];
     if (seg == roadnet::kInvalidSegment) continue;
     ++dist[seg];
   }

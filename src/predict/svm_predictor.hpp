@@ -69,7 +69,10 @@ class SvmRequestPredictor {
 
   /// Equation (2): predicted distribution of potential rescue requests over
   /// road segments from a population snapshot. `time_offset` re-anchors the
-  /// snapshot's relative timestamps into scenario time.
+  /// snapshot's relative timestamps into scenario time. Equal to calling
+  /// PredictPerson on every record and counting each positive on
+  /// index.NearestSegment(pos); the positives are looked up in one batched
+  /// SpatialIndex::NearestSegments call.
   Distribution PredictDistribution(
       const std::vector<mobility::GpsRecord>& snapshot, util::SimTime t,
       double time_offset, const roadnet::SpatialIndex& index) const;

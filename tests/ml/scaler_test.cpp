@@ -47,6 +47,24 @@ TEST(ScalerTest, RejectsBadInput) {
                std::invalid_argument);
 }
 
+TEST(ScalerTest, TransformIntoWritesZScoresAndChecksSizes) {
+  FeatureScaler scaler;
+  std::vector<std::vector<double>> rows = {{1.0, 20.0}, {3.0, 50.0},
+                                           {8.0, 35.0}};
+  double out[2];
+  EXPECT_THROW(scaler.TransformInto(rows[0], out), std::invalid_argument);
+  scaler.Fit(rows);
+  for (const auto& row : rows) {
+    scaler.TransformInto(row, out);
+    for (std::size_t j = 0; j < 2; ++j) {
+      EXPECT_EQ(out[j], (row[j] - scaler.mean()[j]) / scaler.stddev()[j]);
+    }
+  }
+  double short_out[1];
+  EXPECT_THROW(scaler.TransformInto(rows[0], short_out),
+               std::invalid_argument);
+}
+
 TEST(ScalerTest, FittedFlagAndAccessors) {
   FeatureScaler scaler;
   EXPECT_FALSE(scaler.fitted());

@@ -1,11 +1,15 @@
 // Parity tests for the SVM fast paths: batched DecisionValues must be
-// bit-identical to per-row DecisionValue for every kernel type, and SMO
-// with the error cache must train models equivalent in quality to the
-// scalar recompute-everything reference.
+// bit-identical to per-row DecisionValue for every kernel type, the linear
+// kernel's primal w.x + b must match the dual sum over support vectors to
+// rounding, and SMO with the error cache must train models equivalent in
+// quality to the scalar recompute-everything reference.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
 #include <vector>
 
+#include "ml/serialize.hpp"
 #include "ml/svm/svm.hpp"
 #include "util/rng.hpp"
 
@@ -50,6 +54,76 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, SvmBatchKernelTest,
                                            KernelType::kRbf,
                                            KernelType::kPolynomial),
                          [](const auto& info) { return KernelName(info.param); });
+
+/// A linear model with random support vectors, coefficients and bias.
+SvmModel RandomLinearModel(std::size_t num_sv, std::size_t dim,
+                           util::Rng& rng) {
+  std::vector<std::vector<double>> sv(num_sv, std::vector<double>(dim));
+  std::vector<double> coeff(num_sv);
+  for (std::size_t i = 0; i < num_sv; ++i) {
+    for (double& v : sv[i]) v = rng.Uniform(-3.0, 3.0);
+    coeff[i] = rng.Uniform(-2.0, 2.0);
+  }
+  KernelConfig kernel;
+  kernel.type = KernelType::kLinear;
+  return SvmModel(kernel, std::move(sv), std::move(coeff),
+                  rng.Uniform(-1.0, 1.0));
+}
+
+TEST(SvmBatchTest, LinearPrimalMatchesDualSum) {
+  util::Rng rng(46);
+  for (const std::size_t num_sv : {1u, 7u, 288u, 1000u}) {
+    for (const std::size_t dim : {1u, 3u, 8u}) {
+      const SvmModel model = RandomLinearModel(num_sv, dim, rng);
+      for (int q = 0; q < 50; ++q) {
+        std::vector<double> x(dim);
+        for (double& v : x) v = rng.Uniform(-4.0, 4.0);
+        // The dual sum, term by term, and the magnitude its rounding
+        // error scales with.
+        double dual = model.bias();
+        double scale = std::abs(model.bias());
+        for (std::size_t i = 0; i < model.num_support_vectors(); ++i) {
+          const std::vector<double>& sv = model.support_vector(i);
+          double dot = 0.0;
+          for (std::size_t j = 0; j < dim; ++j) dot += sv[j] * x[j];
+          dual += model.coefficient(i) * dot;
+          scale += std::abs(model.coefficient(i) * dot);
+        }
+        EXPECT_LE(std::abs(model.DecisionValue(x) - dual), 1e-12 * scale)
+            << "nsv " << num_sv << " dim " << dim << " query " << q;
+      }
+    }
+  }
+}
+
+TEST(SvmBatchTest, LinearPrimalRejectsDimensionMismatch) {
+  util::Rng rng(47);
+  const SvmModel model = RandomLinearModel(5, 3, rng);
+  EXPECT_THROW(model.DecisionValue(std::vector<double>{1.0, 2.0}),
+               std::invalid_argument);
+  EXPECT_THROW(model.DecisionValues({{1.0, 2.0}}), std::invalid_argument);
+}
+
+TEST(SvmBatchTest, RestoredModelDecidesBitwiseEqual) {
+  // The primal weights are folded in the constructor, so a model restored
+  // from its serialized support vectors refolds them to the same bits.
+  util::Rng rng(48);
+  for (const KernelType type :
+       {KernelType::kLinear, KernelType::kRbf, KernelType::kPolynomial}) {
+    const SvmDataset data = TwoBlobs(90, rng);
+    SvmConfig config;
+    config.kernel.type = type;
+    const SvmModel model = TrainSvm(data, config);
+    std::stringstream buffer;
+    SaveSvm(model, buffer);
+    const SvmModel restored = LoadSvm(buffer);
+    for (int q = 0; q < 40; ++q) {
+      const std::vector<double> x = {rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
+      ASSERT_EQ(restored.DecisionValue(x), model.DecisionValue(x))
+          << KernelName(type) << " query " << q;
+    }
+  }
+}
 
 TEST(SvmBatchTest, DecisionValuesHandlesEmptyAndSingleRow) {
   util::Rng rng(42);

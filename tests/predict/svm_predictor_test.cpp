@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <stdexcept>
+
 #include "core/pipeline.hpp"
 #include "core/world.hpp"
+#include "ml/svm/kernel.hpp"
+#include "sim/population_tracker.hpp"
 
 namespace mobirescue::predict {
 namespace {
@@ -32,6 +38,22 @@ class SvmPredictorTest : public ::testing::Test {
 
 core::World* SvmPredictorTest::world_ = nullptr;
 SvmRequestPredictor* SvmPredictorTest::predictor_ = nullptr;
+
+/// The per-person reference PredictDistribution must equal: classify each
+/// record with PredictPerson and count it on the scalar NearestSegment.
+Distribution PerPersonReference(const SvmRequestPredictor& predictor,
+                                const std::vector<mobility::GpsRecord>& snapshot,
+                                util::SimTime t, double time_offset,
+                                const roadnet::SpatialIndex& index) {
+  Distribution dist;
+  for (const mobility::GpsRecord& r : snapshot) {
+    if (!predictor.PredictPerson(r.pos, t + time_offset)) continue;
+    const roadnet::SegmentId seg = index.NearestSegment(r.pos);
+    if (seg == roadnet::kInvalidSegment) continue;
+    ++dist[seg];
+  }
+  return dist;
+}
 
 TEST_F(SvmPredictorTest, HeldOutAccuracyIsHigh) {
   // Flooding labels are strongly determined by (P, W, A); the SVM should
@@ -82,6 +104,83 @@ TEST_F(SvmPredictorTest, EmptySnapshotEmptyDistribution) {
                   ->PredictDistribution({}, 0.0,
                                         world_->eval.spec.storm.storm_end_s,
                                         *world_->index)
+                  .empty());
+}
+
+TEST_F(SvmPredictorTest, DistributionMatchesPerPersonReferenceAllDay) {
+  // Every 30 minutes of the evaluation day, classified with the evaluation
+  // storm's factors. Alongside, count the people whose decision the dual
+  // sum over support vectors (how the linear model was evaluated before
+  // the primal fold) would have flipped.
+  const weather::FactorSampler& factors = *world_->eval.factors;
+  const SvmRequestPredictor predictor(factors, predictor_->model(),
+                                      predictor_->scaler(),
+                                      predictor_->threshold());
+  const ml::SvmModel& model = predictor.model();
+  const int day = world_->eval.spec.eval_day;
+  const double offset = day * util::kSecondsPerDay;
+  sim::PopulationTracker tracker(
+      sim::DaySlice(world_->eval.trace.records, day));
+  std::size_t people = 0, positives = 0, flips = 0;
+  for (double t = 0.0; t < util::kSecondsPerDay; t += 1800.0) {
+    const std::vector<mobility::GpsRecord>& snapshot = tracker.Snapshot(t);
+    const Distribution got =
+        predictor.PredictDistribution(snapshot, t, offset, *world_->index);
+    const Distribution want =
+        PerPersonReference(predictor, snapshot, t, offset, *world_->index);
+    EXPECT_EQ(got, want) << "t=" << t;
+    // Counted in the per-person loop's insertion order, so the two maps
+    // also iterate alike (consumers walk the map in that order).
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "t=" << t;
+    for (const mobility::GpsRecord& r : snapshot) {
+      const std::vector<double> row = predictor.scaler().Transform(
+          factors.At(r.pos, t + offset).AsArray());
+      double dual = model.bias();
+      for (std::size_t i = 0; i < model.num_support_vectors(); ++i) {
+        dual += model.coefficient(i) *
+                ml::EvalKernel(model.kernel(), model.support_vector(i), row);
+      }
+      const bool primal = predictor.PredictPerson(r.pos, t + offset);
+      positives += primal ? 1 : 0;
+      flips += (dual >= predictor.threshold()) != primal ? 1 : 0;
+    }
+    people += snapshot.size();
+  }
+  std::printf("[ flips    ] %zu of %zu classifications (%zu positive)\n",
+              flips, people, positives);
+  RecordProperty("threshold_flips", static_cast<int>(flips));
+  EXPECT_GT(positives, 0u);
+  EXPECT_LT(positives, people);
+}
+
+TEST_F(SvmPredictorTest, DistributionMatchesReferenceOutsideCityBox) {
+  // Positions past every edge of the box clamp into its border cells.
+  const auto& box = world_->city->box;
+  std::vector<mobility::GpsRecord> snapshot;
+  int id = 0;
+  for (const double x : {-0.6, -0.05, 0.5, 1.05, 1.6}) {
+    for (const double y : {-0.6, -0.05, 0.5, 1.05, 1.6}) {
+      snapshot.push_back({id++, 0.0, box.At(x, y), 0.0, 0.0});
+    }
+  }
+  const double t = world_->eval.spec.storm.storm_end_s;
+  EXPECT_EQ(predictor_->PredictDistribution(snapshot, 0.0, t, *world_->index),
+            PerPersonReference(*predictor_, snapshot, 0.0, t, *world_->index));
+}
+
+TEST_F(SvmPredictorTest, UnfittedScalerThrows) {
+  const SvmRequestPredictor unfitted(*world_->eval.factors,
+                                     predictor_->model(), ml::FeatureScaler{},
+                                     predictor_->threshold());
+  const util::GeoPoint p = world_->city->box.At(0.5, 0.5);
+  const std::vector<mobility::GpsRecord> snapshot = {{0, 0.0, p, 0.0, 0.0}};
+  EXPECT_THROW(unfitted.PredictPerson(p, 0.0), std::invalid_argument);
+  EXPECT_THROW(unfitted.PredictDistribution(snapshot, 0.0, 0.0,
+                                            *world_->index),
+               std::invalid_argument);
+  // An empty snapshot classifies nobody, so there is nothing to reject.
+  EXPECT_TRUE(unfitted.PredictDistribution({}, 0.0, 0.0, *world_->index)
                   .empty());
 }
 
