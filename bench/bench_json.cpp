@@ -1,13 +1,13 @@
 #include "bench_json.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/json_walker.hpp"
 
 namespace mobirescue::bench {
 
@@ -117,61 +117,7 @@ void WriteBenchJsonFile(const std::string& path, const std::string& label,
 
 namespace {
 
-// Minimal recursive-descent parser for the JSON subset the bench schema
-// uses: objects, arrays, strings, numbers. No dependency on a JSON
-// library (the container image carries none).
-struct JsonCursor {
-  const char* p;
-  const char* end;
-  std::string error;
-
-  bool Fail(const std::string& message) {
-    if (error.empty()) error = message;
-    return false;
-  }
-  void SkipWs() {
-    while (p < end && std::isspace(static_cast<unsigned char>(*p))) ++p;
-  }
-  bool Consume(char c) {
-    SkipWs();
-    if (p >= end || *p != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++p;
-    return true;
-  }
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (p >= end || *p != '"') return Fail("expected string");
-    ++p;
-    out->clear();
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p >= end) return Fail("bad escape");
-        switch (*p) {
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          default: *out += *p;
-        }
-      } else {
-        *out += *p;
-      }
-      ++p;
-    }
-    if (p >= end) return Fail("unterminated string");
-    ++p;
-    return true;
-  }
-  bool ParseNumber(double* out) {
-    SkipWs();
-    char* parse_end = nullptr;
-    *out = std::strtod(p, &parse_end);
-    if (parse_end == p) return Fail("expected number");
-    p = parse_end;
-    return true;
-  }
-};
+using obs::internal::JsonCursor;
 
 struct ParsedRecord {
   std::string op, size;
@@ -203,11 +149,7 @@ bool ParseRecord(JsonCursor& cur, ParsedRecord* rec) {
       }
       // Unknown numeric keys (e.g. a future field) are tolerated.
     }
-    cur.SkipWs();
-    if (cur.p < cur.end && *cur.p == ',') {
-      ++cur.p;
-      continue;
-    }
+    if (cur.ConsumeIf(',')) continue;
     return cur.Consume('}');
   }
 }
@@ -219,11 +161,8 @@ bool ValidateBenchJsonFile(const std::string& path, std::string* error) {
     if (error != nullptr) *error = message;
     return false;
   };
-  std::ifstream in(path);
-  if (!in) return fail("cannot open " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  std::string text;
+  if (!obs::internal::ReadWholeFile(path, &text, error)) return false;
   JsonCursor cur{text.data(), text.data() + text.size(), {}};
 
   if (!cur.Consume('{')) return fail(cur.error);
@@ -247,10 +186,7 @@ bool ValidateBenchJsonFile(const std::string& path, std::string* error) {
       saw_label = true;
     } else if (key == "results") {
       if (!cur.Consume('[')) return fail(cur.error);
-      cur.SkipWs();
-      if (cur.p < cur.end && *cur.p == ']') {
-        ++cur.p;
-      } else {
+      if (!cur.ConsumeIf(']')) {
         for (;;) {
           ParsedRecord rec;
           if (!ParseRecord(cur, &rec)) return fail(cur.error);
@@ -268,11 +204,7 @@ bool ValidateBenchJsonFile(const std::string& path, std::string* error) {
           if (!rec.has_iters || !(rec.iterations >= 1.0)) {
             return fail(where + "iterations must be >= 1");
           }
-          cur.SkipWs();
-          if (cur.p < cur.end && *cur.p == ',') {
-            ++cur.p;
-            continue;
-          }
+          if (cur.ConsumeIf(',')) continue;
           if (!cur.Consume(']')) return fail(cur.error);
           break;
         }
@@ -281,11 +213,7 @@ bool ValidateBenchJsonFile(const std::string& path, std::string* error) {
     } else {
       return fail("unexpected top-level key: " + key);
     }
-    cur.SkipWs();
-    if (cur.p < cur.end && *cur.p == ',') {
-      ++cur.p;
-      continue;
-    }
+    if (cur.ConsumeIf(',')) continue;
     if (!cur.Consume('}')) return fail(cur.error);
     break;
   }

@@ -56,9 +56,10 @@ struct OverheadMeasurement {
 /// both variants see the same clock/thermal state — and keeps each side's
 /// minimum (short loops are noise-bounded from above, so the min is the
 /// honest per-run estimate). The returned measurement is the run with the
-/// MEDIAN overhead percentage: one run skewed by a scheduler hiccup or a
-/// sibling ctest process cannot flip the gate in either direction, so the
-/// gates hold under a parallel `ctest -j` schedule without RUN_SERIAL.
+/// MEDIAN overhead percentage: one run skewed by a scheduler hiccup cannot
+/// flip the gate in either direction. Sustained contention from a full
+/// `ctest -j` schedule can, so the gated smokes also run serially
+/// (bench/CMakeLists.txt).
 OverheadMeasurement MeasureOverheadMedian(
     const std::function<void()>& baseline,
     const std::function<void()>& subject, double min_time_s, int reps = 3,

@@ -17,9 +17,9 @@
 // step or a TD-gate evaluation is orders of magnitude above 5% of a
 // ~1 ms decide, which is exactly why it is kept off the decision path.
 // Runs alternate frozen/learning rep by rep and the gate takes the MEDIAN
-// of the per-rep overhead ratios — one rep skewed by a scheduler hiccup or
-// a sibling ctest process cannot flip the gate, so it holds under a
-// parallel `ctest -j` schedule without RUN_SERIAL.
+// of the per-rep overhead ratios — one rep skewed by a scheduler hiccup
+// cannot flip the gate; its smoke test runs serially
+// (bench/CMakeLists.txt).
 // `--json PATH [--smoke]` writes mobirescue-bench-v1 JSON; the overhead
 // percentage rides in the `size` field of every record.
 #include <algorithm>

@@ -22,8 +22,8 @@
 // than 5% slower than the plain loop. `--json PATH [--smoke]` writes
 // mobirescue-bench-v1 JSON; the overhead percentage rides in the `size`
 // field. Unit costs are best-of-three; each gated comparison is the median
-// of three interleaved runs (bench::MeasureOverheadMedian), so the gates
-// hold under a parallel ctest schedule without RUN_SERIAL.
+// of three interleaved runs (bench::MeasureOverheadMedian); the smoke test
+// runs serially (bench/CMakeLists.txt).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>

@@ -202,7 +202,6 @@ sim::DispatchDecision MobiRescueDispatcher::Decide(
       cached_distribution_ = predictor_.PredictDistribution(
           snapshot, context.now, day_offset_s_, index_);
     } catch (const std::exception&) {
-      ++prediction_failures_;
       prediction_failures_total_.Increment();
     }
     cached_at_ = context.now;

@@ -118,7 +118,9 @@ class MobiRescueDispatcher : public sim::Dispatcher {
   double prediction_refreshed_at() const { return cached_at_; }
   /// Prediction refreshes that failed (the dispatcher kept serving on the
   /// last-known distribution).
-  std::uint64_t prediction_failures() const { return prediction_failures_; }
+  std::uint64_t prediction_failures() const {
+    return prediction_failures_total_.Value();
+  }
 
   /// The heuristic prior over one action's features: demand-seeking,
   /// distance- and competition-averse, 0 for the depot action.
@@ -164,7 +166,6 @@ class MobiRescueDispatcher : public sim::Dispatcher {
 
   predict::Distribution cached_distribution_;
   double cached_at_ = -1.0e18;
-  std::uint64_t prediction_failures_ = 0;
   obs::Counter prediction_failures_total_{
       "dispatch_prediction_failures_total",
       "SVM prediction refreshes that threw; the last-known distribution "

@@ -1,6 +1,6 @@
-// Minimal recursive-descent JSON walker shared by the obs validators
-// (Chrome trace, metrics JSON, incident bundles) — the same dependency-free
-// idiom as bench::ValidateBenchJsonFile (the image carries no JSON
+// Minimal recursive-descent JSON walker shared by the repo's validators:
+// the obs ones (Chrome trace, metrics JSON, incident bundles) and
+// bench::ValidateBenchJsonFile. Dependency-free (the image carries no JSON
 // library). Handles the general grammar so unknown fields — nested "args"
 // objects and the like — are tolerated.
 //

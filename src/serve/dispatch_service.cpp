@@ -148,8 +148,8 @@ void DispatchService::AdvanceStateTo(util::SimTime now) {
       ++parked;
     }
   }
-  // One batch in drain order: identical to Apply per record, and the
-  // region-sharded state gets whole drains to cell-group its matching.
+  // One batch in drain order: whole drains let the state cell-group its
+  // matching.
   state_.ApplyBatch(applicable_.data(), applicable_.size());
   if (parked != 0) deferred_counter_.Increment(parked);
   incoming_.clear();
@@ -239,7 +239,6 @@ sim::DispatchDecision DispatchService::Tick(
   degraded_gauge_.Set(degraded_remaining_ > 0 ? 1.0 : 0.0);
   drain_ms_.push_back(drain);
   decide_ms_.push_back(decide);
-  decision_ms_.push_back(drain + decide);
   drain_hist_.Observe(drain);
   decide_hist_.Observe(decide);
   ++ticks_;
@@ -348,7 +347,6 @@ void DispatchService::RestoreServingState(const ServiceCheckpoint& ckpt) {
     // window, promotion state machine and the rollback snapshot.
     learner_->LoadStateString(ckpt.learner_state);
   }
-  ++recoveries_;
   recovery_counter_.Increment();
   // The restore edge is incident-worthy in itself: the flight window shows
   // what the crashed instance was doing, the metric delta what was lost.
@@ -367,7 +365,6 @@ void DispatchService::ResetMetrics() {
   deferred_total_ = 0;
   decide_ms_.clear();
   drain_ms_.clear();
-  decision_ms_.clear();
   learn_ms_.clear();
   fallback_ticks_ = 0;
   decide_errors_ = 0;
@@ -386,7 +383,12 @@ ServiceMetrics DispatchService::metrics() const {
   m.people_tracked = state_.num_people_seen();
   m.decide_ms = util::Summarize(decide_ms_);
   m.drain_ms = util::Summarize(drain_ms_);
-  m.decision_ms = util::Summarize(decision_ms_);
+  // A tick's decision latency is its drain plus its decide.
+  std::vector<double> decision_ms(drain_ms_.size());
+  for (std::size_t i = 0; i < decision_ms.size(); ++i) {
+    decision_ms[i] = drain_ms_[i] + decide_ms_[i];
+  }
+  m.decision_ms = util::Summarize(decision_ms);
   if (watermark_ > 0.0) {
     m.ingest_rate_per_s =
         static_cast<double>(m.ingest.accepted) / watermark_;
@@ -398,7 +400,7 @@ ServiceMetrics DispatchService::metrics() const {
   m.decide_errors = decide_errors_;
   m.budget_overruns = budget_overruns_;
   m.checkpoints_written = checkpoints_written_;
-  m.recoveries = recoveries_;
+  m.recoveries = recovery_counter_.Value();
   m.incidents = incidents_ != nullptr ? incidents_->dumps() : 0;
   m.health_trips = health_.trips();
   m.degraded = degraded_remaining_ > 0;

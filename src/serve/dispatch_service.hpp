@@ -52,9 +52,6 @@ namespace mobirescue::serve {
 class TraceStreamer;
 
 struct ServiceConfig {
-  /// Dispatch tick cadence (informational; when driven by a simulator the
-  /// simulator's dispatch_period_s rules).
-  double tick_period_s = 300.0;
   IngestQueueConfig queue;
   StreamStateConfig state;
   /// Per-tick Decide() wall-time budget (ms); a tick exceeding it degrades
@@ -297,7 +294,7 @@ class DispatchService {
   std::vector<mobility::GpsRecord> incoming_;
   std::vector<mobility::GpsRecord> deferred_;
   /// Drained records due this tick, handed to StreamState::ApplyBatch in
-  /// drain order (the sharded state batches its matching per drain).
+  /// drain order (the state batches its matching per drain).
   std::vector<mobility::GpsRecord> applicable_;
   util::SimTime watermark_ = 0.0;
   std::uint64_t ticks_ = 0;
@@ -305,7 +302,6 @@ class DispatchService {
   std::uint64_t deferred_total_ = 0;
   std::vector<double> decide_ms_;
   std::vector<double> drain_ms_;
-  std::vector<double> decision_ms_;
   std::vector<double> learn_ms_;
   // Degradation state: ticks remaining on the fallback dispatcher.
   int degraded_remaining_ = 0;
@@ -318,7 +314,6 @@ class DispatchService {
   std::uint64_t decide_errors_ = 0;
   std::uint64_t budget_overruns_ = 0;
   std::uint64_t checkpoints_written_ = 0;
-  std::uint64_t recoveries_ = 0;
 
   obs::Counter ticks_total_{"serve_ticks_total",
                             "Dispatch ticks executed."};

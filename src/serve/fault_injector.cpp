@@ -104,7 +104,6 @@ std::vector<TimedDelivery> FaultInjector::PlanDeliveries(
 
   for (const mobility::GpsRecord& r : trace) {
     if (plan_.drop_prob > 0.0 && RecordHash(r, kSaltDrop) < plan_.drop_prob) {
-      ++counts_.dropped;
       dropped_total_.Increment();
       continue;
     }
@@ -120,14 +119,12 @@ std::vector<TimedDelivery> FaultInjector::PlanDeliveries(
       } else {
         rec.pos.lat += 90.0;  // far outside any city bounding box
       }
-      ++counts_.corrupted;
       corrupted_total_.Increment();
     }
     TimedDelivery delivery{rec.t, rec};
     if (plan_.delay_prob > 0.0 &&
         RecordHash(r, kSaltDelay) < plan_.delay_prob) {
       delivery.deliver_at += plan_.delay_s;
-      ++counts_.delayed;
       delayed_total_.Increment();
     }
     out.push_back(delivery);
@@ -139,7 +136,6 @@ std::vector<TimedDelivery> FaultInjector::PlanDeliveries(
     if (pending != reorder_pending.end()) {
       std::swap(out[pending->second].deliver_at, out[here].deliver_at);
       reorder_pending.erase(pending);
-      ++counts_.reordered;
       reordered_total_.Increment();
     } else if (plan_.reorder_prob > 0.0 &&
                RecordHash(r, kSaltReorder) < plan_.reorder_prob) {
@@ -149,15 +145,26 @@ std::vector<TimedDelivery> FaultInjector::PlanDeliveries(
     if (plan_.duplicate_prob > 0.0 &&
         RecordHash(r, kSaltDuplicate) < plan_.duplicate_prob) {
       out.push_back(TimedDelivery{delivery.deliver_at + 1.0, rec});
-      ++counts_.duplicated;
       duplicated_total_.Increment();
     }
   }
   return out;
 }
 
+FaultCounts FaultInjector::counts() const {
+  FaultCounts c;
+  c.dropped = dropped_total_.Value();
+  c.duplicated = duplicated_total_.Value();
+  c.delayed = delayed_total_.Value();
+  c.corrupted = corrupted_total_.Value();
+  c.reordered = reordered_total_.Value();
+  c.decide_failures = decide_failures_total_.Value();
+  c.predictor_failures = predictor_failures_total_.Value();
+  c.kills = kills_total_.Value();
+  return c;
+}
+
 void FaultInjector::RecordKill() {
-  ++counts_.kills;
   kills_total_.Increment();
 }
 
@@ -169,7 +176,6 @@ bool FaultInjector::KillsBeforeTick(std::uint64_t tick) const {
 bool FaultInjector::ShouldFailDecide(util::SimTime now) {
   if (plan_.decide_failure_prob <= 0.0) return false;
   if (TimeHash(now, kSaltDecide) >= plan_.decide_failure_prob) return false;
-  ++counts_.decide_failures;
   decide_failures_total_.Increment();
   return true;
 }
@@ -179,7 +185,6 @@ bool FaultInjector::ShouldFailPrediction(util::SimTime now) {
   if (TimeHash(now, kSaltPredictor) >= plan_.predictor_failure_prob) {
     return false;
   }
-  ++counts_.predictor_failures;
   predictor_failures_total_.Increment();
   return true;
 }

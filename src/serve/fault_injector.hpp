@@ -77,7 +77,8 @@ struct FaultPlan {
   static FaultPlan Chaos(std::uint64_t seed = 20260806);
 };
 
-/// Faults actually injected while planning/deciding (per injector).
+/// Faults actually injected while planning/deciding (per injector; read
+/// from the injector's own registry counters).
 struct FaultCounts {
   std::uint64_t dropped = 0;
   std::uint64_t duplicated = 0;
@@ -94,17 +95,17 @@ class FaultInjector {
   explicit FaultInjector(FaultPlan plan);
 
   const FaultPlan& plan() const { return plan_; }
-  const FaultCounts& counts() const { return counts_; }
+  FaultCounts counts() const;
 
   /// Turns a clean trace into the faulted delivery schedule. Deterministic
-  /// in (plan, trace); accumulates counts_.
+  /// in (plan, trace); accumulates counts().
   std::vector<TimedDelivery> PlanDeliveries(const mobility::GpsTrace& trace);
 
   /// True when the plan kills the process just before tick `tick`.
   bool KillsBeforeTick(std::uint64_t tick) const;
 
   /// Per-tick / per-refresh failure decisions, hashed on the simulation
-  /// time so they reproduce across restarts. These mutate counts_ — call
+  /// time so they reproduce across restarts. These mutate counts() — call
   /// them once per event (the service's chaos hooks do).
   bool ShouldFailDecide(util::SimTime now);
   bool ShouldFailPrediction(util::SimTime now);
@@ -119,7 +120,6 @@ class FaultInjector {
   double TimeHash(util::SimTime t, std::uint64_t salt) const;
 
   FaultPlan plan_;
-  FaultCounts counts_;
 
   obs::Counter dropped_total_{"serve_fault_dropped_total",
                               "GPS records dropped by the fault injector."};

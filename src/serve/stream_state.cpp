@@ -36,8 +36,6 @@ StreamState::StreamState(const roadnet::RoadNetwork& net,
       flows_(net, config.flow_total_hours, config.moving_speed_threshold_mps),
       config_(config),
       shards_(std::max(1, config.shards)) {
-  if (shards_ == 1) return;
-
   // Tile the spatial grid into `shards_` contiguous rectangular bands:
   // rows x cols with rows the largest divisor <= sqrt(shards_), so tiles
   // stay close to square (balanced perimeter -> balanced handoff traffic).
@@ -109,21 +107,6 @@ bool StreamState::ApplyCore(const mobility::GpsRecord& record) {
   return true;
 }
 
-void StreamState::Apply(const mobility::GpsRecord& record) {
-  if (shards_ > 1) {
-    ApplyBatchSharded(&record, 1);
-    return;
-  }
-  if (!ApplyCore(record)) return;
-  mobility::MatchedRecord m;
-  if (matcher_.MatchRecord(record, &m)) {
-    ++counters_.matched;
-    flows_.Ingest(m);
-  } else {
-    ++counters_.unmatched;
-  }
-}
-
 void StreamState::ForEachShard(const std::function<void(int)>& fn) const {
   const int workers = std::min(config_.shard_workers, shards_);
   if (workers <= 1) {
@@ -140,15 +123,14 @@ void StreamState::ForEachShard(const std::function<void(int)>& fn) const {
   for (std::thread& t : threads) t.join();
 }
 
-void StreamState::ApplyBatchSharded(const mobility::GpsRecord* records,
-                                    std::size_t n) {
-  // Phase A — sequential in drain order, byte-identical to the single
-  // path: validation, quarantine tallies, and the latest-position map
-  // (whose stale check depends on per-person arrival order). Survivors are
-  // bucketed by the shard of the grid cell their position falls in; the
-  // cell is remembered alongside the record so phase B never recomputes
-  // it. Scratch buffers keep their capacity across batches, so the
-  // steady-state loop allocates nothing here.
+void StreamState::ApplyBatch(const mobility::GpsRecord* records,
+                             std::size_t n) {
+  // Phase A — sequential in drain order: validation, quarantine tallies,
+  // and the latest-position map (whose stale check depends on per-person
+  // arrival order). Survivors are bucketed by the shard of the grid cell
+  // their position falls in; the cell is remembered alongside the record
+  // so phase B never recomputes it. Scratch buffers keep their capacity
+  // across batches, so the steady-state drain allocates nothing.
   for (int s = 0; s < shards_; ++s) {
     scratch_[s].bucket.clear();
     scratch_[s].bucket_cell.clear();
@@ -169,11 +151,10 @@ void StreamState::ApplyBatchSharded(const mobility::GpsRecord* records,
   // grouping is a stable counting sort keyed by cell — one histogram, one
   // scatter — which leaves records in exactly the order a stable
   // (cell, position) sort would.
-  std::vector<std::uint64_t> matched_tally(shards_, 0);
-  std::vector<std::uint64_t> unmatched_tally(shards_, 0);
   ForEachShard([&](int p) {
     ShardScratch& sc = scratch_[p];
     for (int o = 0; o < shards_; ++o) handoff_[p][o].clear();
+    sc.matched.clear();
     const std::size_t bn = sc.bucket.size();
     if (bn == 0) return;
     sc.cell_start.assign(index_.num_cells() + 1, 0);
@@ -186,11 +167,8 @@ void StreamState::ApplyBatchSharded(const mobility::GpsRecord* records,
       sc.grouped[sc.cell_start[sc.bucket_cell[i]]++] = sc.bucket[i];
     }
 
-    sc.matched.clear();
     sc.matched.reserve(bn);
     matcher_.MatchBatch(sc.grouped.data(), bn, &sc.matched);
-    matched_tally[p] = sc.matched.size();
-    unmatched_tally[p] = bn - sc.matched.size();
     for (mobility::MatchedRecord& m : sc.matched) {
       handoff_[p][segment_shard_[m.segment]].push_back(m);
     }
@@ -210,23 +188,11 @@ void StreamState::ApplyBatchSharded(const mobility::GpsRecord* records,
     }
   });
 
-  for (int s = 0; s < shards_; ++s) {
-    counters_.matched += matched_tally[s];
-    counters_.unmatched += unmatched_tally[s];
+  // This batch's match tallies, read from the per-tile scratch.
+  for (const ShardScratch& sc : scratch_) {
+    counters_.matched += sc.matched.size();
+    counters_.unmatched += sc.bucket.size() - sc.matched.size();
   }
-}
-
-void StreamState::ApplyBatch(const mobility::GpsRecord* records,
-                             std::size_t n) {
-  if (shards_ == 1) {
-    for (std::size_t i = 0; i < n; ++i) Apply(records[i]);
-    return;
-  }
-  ApplyBatchSharded(records, n);
-}
-
-void StreamState::ApplyAll(const std::vector<mobility::GpsRecord>& records) {
-  ApplyBatch(records.data(), records.size());
 }
 
 const std::vector<mobility::GpsRecord>& StreamState::Snapshot(
@@ -254,14 +220,10 @@ std::vector<mobility::GpsRecord> StreamState::ExportLatest() const {
 void StreamState::ExportFlowState(
     std::vector<std::pair<std::uint64_t, std::uint32_t>>* cells,
     std::vector<std::uint64_t>* seen) const {
-  if (shards_ == 1) {
-    flows_.ExportState(cells, seen);
-    return;
-  }
   // Merge of the per-shard exports. Cell ranges are disjoint across shards
   // and each shard exports ascending, so a sort by cell index reproduces
-  // the single path's ascending dense scan byte-for-byte; dedup keys merge
-  // into one sorted list the same way.
+  // one analyzer's ascending dense scan byte-for-byte, whatever the shard
+  // count; dedup keys merge into one sorted list the same way.
   cells->clear();
   seen->clear();
   std::vector<std::pair<std::uint64_t, std::uint32_t>> shard_cells;
@@ -284,32 +246,28 @@ void StreamState::Restore(
   latest_.reserve(latest.size());
   for (const mobility::GpsRecord& r : latest) latest_[r.person] = r;
   counters_ = counters;
-  if (shards_ == 1) {
-    flows_.RestoreState(flow_cells, flow_seen);
-  } else {
-    // Partition the flat export by segment owner: cell index -> segment ->
-    // shard; dedup key -> cell index (mod num_cells) -> segment -> shard.
-    const std::size_t num_cells = flows_.num_cells();
-    const int total_hours = flows_.total_hours();
-    std::vector<std::vector<std::pair<std::uint64_t, std::uint32_t>>>
-        cells_by(shards_);
-    std::vector<std::vector<std::uint64_t>> seen_by(shards_);
-    for (const auto& cell : flow_cells) {
-      if (cell.first >= num_cells) {
-        throw std::runtime_error("StreamState: flow cell index out of range");
-      }
-      cells_by[segment_shard_[cell.first / total_hours]].push_back(cell);
+  // Partition the flat export by segment owner: cell index -> segment ->
+  // shard; dedup key -> cell index (mod num_cells) -> segment -> shard.
+  const std::size_t num_cells = flows_.num_cells();
+  const int total_hours = flows_.total_hours();
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint32_t>>> cells_by(
+      shards_);
+  std::vector<std::vector<std::uint64_t>> seen_by(shards_);
+  for (const auto& cell : flow_cells) {
+    if (cell.first >= num_cells) {
+      throw std::runtime_error("StreamState: flow cell index out of range");
     }
-    for (const std::uint64_t key : flow_seen) {
-      const std::uint64_t idx = key % num_cells;
-      seen_by[segment_shard_[idx / total_hours]].push_back(key);
-    }
-    for (int s = 0; s < shards_; ++s) {
-      flow_shards_[s].RestoreState(cells_by[s], seen_by[s]);
-    }
-    // Merged counts mirror: counts only, dedup stays in the shards.
-    flows_.RestoreState(flow_cells, {});
+    cells_by[segment_shard_[cell.first / total_hours]].push_back(cell);
   }
+  for (const std::uint64_t key : flow_seen) {
+    const std::uint64_t idx = key % num_cells;
+    seen_by[segment_shard_[idx / total_hours]].push_back(key);
+  }
+  for (int s = 0; s < shards_; ++s) {
+    flow_shards_[s].RestoreState(cells_by[s], seen_by[s]);
+  }
+  // Merged counts mirror: counts only, dedup stays in the shards.
+  flows_.RestoreState(flow_cells, {});
   dirty_ = true;
 }
 

@@ -2,37 +2,38 @@
 // the streamed replacement for PopulationTracker + batch map-matching +
 // batch FlowRateAnalyzer::Ingest.
 //
-// Apply() consumes one raw GPS record at a time (already drained from the
-// ingestion queues — single-threaded by the service's tick loop) and keeps
+// ApplyBatch() consumes one drained batch of raw GPS records (single-
+// threaded by the service's tick loop) and keeps
 //   - each person's latest known position (the dispatcher's population
 //     snapshot: sim::PopulationSource),
-//   - the record's map-matched segment (mobility::MapMatcher::MatchRecord),
-//   - per-(segment, hour) vehicle flow counts
-//     (mobility::FlowRateAnalyzer::Ingest single-record path, whose
-//     (person, segment, hour) dedup is order- and batching-independent).
+//   - each record's map-matched segment (mobility::MapMatcher),
+//   - per-(segment, hour) vehicle flow counts (mobility::FlowRateAnalyzer,
+//     whose (person, segment, hour) dedup is order- and batching-
+//     independent).
 //
-// Apply() also guards the derived state against corrupt input (DESIGN.md
+// Every batch runs the same three phases (DESIGN.md §17). The spatial grid
+// is tiled into `config.shards` contiguous rectangular tiles (one tile by
+// default). (a) Records are validated and applied to the latest-position
+// map sequentially in drain order, then bucketed by the tile of the
+// *record position*. (b) Each tile's bucket is grouped by grid cell with a
+// counting sort and batch-matched (the SoA nearest-segment scan). (c) Every
+// matched record is handed to the tile that *owns its matched segment* (by
+// midpoint), whose private FlowRateAnalyzer ingests it. Segment ownership
+// makes the per-tile flow cells disjoint, so phases (b) and (c) run on
+// config.shard_workers threads without locks and a merged counts mirror
+// stays exact. Matching is per-record independent and flow dedup is
+// order-independent, so the snapshot, counters and exported flow state are
+// bit-identical for every tile count and worker count, and equal to the
+// batch PopulationTracker + MapMatcher + FlowRateAnalyzer pipeline
+// (stream_state_test and region_shard_test prove it).
+//
+// Phase (a) also guards the derived state against corrupt input (DESIGN.md
 // §13): records with non-finite fields, positions outside the accept box,
 // or a timestamp strictly older than the person's latest applied record are
 // *quarantined* — counted per reason, never applied, never fed to the flow
 // analyzer. Quarantine keeps the bit-identity contract intact: on clean
 // input nothing is ever quarantined (equal timestamps still overwrite,
 // matching the batch tracker's stable-sort "latest wins" semantics).
-//
-// Region sharding (DESIGN.md §17): with config.shards > 1, ApplyBatch runs
-// the heavy per-record work sharded by geography. The spatial grid is tiled
-// into `shards` contiguous rectangular bands; each batch is (a) validated
-// and applied to the latest-position map sequentially in drain order —
-// byte-identical to the single path — then (b) bucketed by the *record
-// position's* tile, cell-sorted and batch-matched per tile (the SoA
-// nearest-segment scan), then (c) every matched record is handed to the
-// tile that *owns its matched segment* (by midpoint), whose private
-// FlowRateAnalyzer ingests it. Segment ownership makes the per-shard flow
-// cells disjoint, so phases (b) and (c) parallelise without locks
-// (config.shard_workers) and a merged counts mirror stays exact. Matching
-// is per-record independent and flow dedup is order-independent, so the
-// sharded path's snapshot, counters, and exported flow state are
-// bit-identical to the single-state path (region_shard_test proves it).
 #pragma once
 
 #include <cstddef>
@@ -60,24 +61,24 @@ struct StreamStateConfig {
   /// hourly cells cover the horizon.
   int flow_total_hours = 24;
   double moving_speed_threshold_mps = 2.0;
-  /// Input validation (DESIGN.md §13). When false, Apply() trusts its input
-  /// completely (the pre-quarantine behaviour).
+  /// Input validation (DESIGN.md §13). When false, ApplyBatch() trusts its
+  /// input completely (the pre-quarantine behaviour).
   bool validate = true;
   /// When set, positions outside this box are quarantined. Unset by
   /// default so a bare StreamState accepts any finite position; the
   /// DispatchService fills it in with the city's bounding box.
   std::optional<util::BoundingBox> accept_box;
-  /// Geographic shards for ApplyBatch (1 = the classic single-state path).
-  /// Results are bit-identical for every value; > 1 turns matching and
-  /// flow ingest into cell-grouped batched scans.
+  /// Geographic tiles for ApplyBatch's match and flow-ingest phases.
+  /// Results are bit-identical for every value; more tiles give smaller
+  /// per-tile dedup sets and work for shard_workers to share.
   int shards = 1;
-  /// Threads for the sharded match/ingest phases. 0 runs them inline on
+  /// Threads for the per-tile match/ingest phases. 0 runs them inline on
   /// the caller (the right default on small machines); results are
   /// identical either way.
   int shard_workers = 0;
 };
 
-/// Counters over everything Apply() has seen.
+/// Counters over everything ApplyBatch() has seen.
 struct StreamStateCounters {
   std::uint64_t applied = 0;    // records consumed
   std::uint64_t matched = 0;    // snapped to a segment (fed to flows)
@@ -99,19 +100,13 @@ class StreamState : public sim::PopulationSource {
               const roadnet::SpatialIndex& index,
               StreamStateConfig config = {});
 
-  /// Consumes one record: updates the person's latest position and, when
-  /// the record matches a segment, the incremental flow counts. Records of
-  /// one person must arrive in time order (the sharded queue and the
-  /// per-person streamer workers guarantee this); interleaving across
-  /// persons is free. Corrupt records are quarantined, not applied.
-  void Apply(const mobility::GpsRecord& record);
-
-  /// Consumes one drained batch. With config.shards == 1 this is exactly
-  /// Apply in a loop; with shards > 1 it runs the region-sharded phases
-  /// (see the header comment) — same final state either way.
+  /// Consumes one drained batch (the phases in the header comment): updates
+  /// each person's latest position and, for records that match a segment,
+  /// the incremental flow counts. Records of one person must arrive in time
+  /// order (the sharded queue and the per-person streamer workers guarantee
+  /// this); interleaving across persons is free, and so is the split of a
+  /// stream into batches. Corrupt records are quarantined, not applied.
   void ApplyBatch(const mobility::GpsRecord* records, std::size_t n);
-
-  void ApplyAll(const std::vector<mobility::GpsRecord>& records);
 
   /// Every person's latest applied position. `t` is accepted for interface
   /// compatibility (PopulationSource); the service only snapshots after
@@ -120,9 +115,8 @@ class StreamState : public sim::PopulationSource {
   const std::vector<mobility::GpsRecord>& Snapshot(util::SimTime t) override;
 
   /// Crash recovery (DESIGN.md §13): the latest-position map sorted by
-  /// person id, and the flow analyzer's dedup/count state. The sharded
-  /// path exports the merge of its per-shard analyzers — identical bytes
-  /// to the single path's export.
+  /// person id, and the flow dedup/count state: the merge of the per-tile
+  /// analyzers, identical bytes for every tile count.
   std::vector<mobility::GpsRecord> ExportLatest() const;
   void ExportFlowState(
       std::vector<std::pair<std::uint64_t, std::uint32_t>>* cells,
@@ -137,10 +131,9 @@ class StreamState : public sim::PopulationSource {
                    flow_cells,
                const std::vector<std::uint64_t>& flow_seen);
 
-  /// Flow reads. In sharded mode this is the merged counts mirror — every
-  /// per-shard increment lands here too, so SegmentFlow/RegionFlow reads
-  /// cost the same as the single path (its dedup set stays empty; dedup
-  /// lives in the per-shard analyzers).
+  /// Flow reads: the merged counts mirror. Every per-tile increment lands
+  /// here too, so SegmentFlow/RegionFlow reads cost one array lookup (its
+  /// dedup set stays empty; dedup lives in the per-tile analyzers).
   const mobility::FlowRateAnalyzer& flows() const { return flows_; }
   const StreamStateCounters& counters() const { return counters_; }
   std::size_t num_people_seen() const { return latest_.size(); }
@@ -149,10 +142,9 @@ class StreamState : public sim::PopulationSource {
 
  private:
   /// Validation + latest-position update for one record, sequential in
-  /// drain order (shared verbatim by both paths). True when the record
-  /// was applied and still needs matching/flow ingest.
+  /// drain order (phase a). True when the record was applied and still
+  /// needs matching/flow ingest.
   bool ApplyCore(const mobility::GpsRecord& record);
-  void ApplyBatchSharded(const mobility::GpsRecord* records, std::size_t n);
   /// Runs `fn(shard)` for every shard, inline or on shard_workers threads.
   void ForEachShard(const std::function<void(int)>& fn) const;
 
@@ -164,7 +156,7 @@ class StreamState : public sim::PopulationSource {
   int shards_ = 1;
 
   /// Grid cell -> owning shard (contiguous rectangular tiles), and segment
-  /// -> owning shard (by midpoint cell). Empty when shards_ == 1.
+  /// -> owning shard (by midpoint cell).
   std::vector<int> cell_shard_;
   std::vector<int> segment_shard_;
   /// Per-shard flow analyzers (dedup + counts over the shard's own
@@ -173,13 +165,13 @@ class StreamState : public sim::PopulationSource {
 
   /// Reusable per-batch scratch, indexed by shard so a threaded phase B
   /// never shares a buffer. Capacity persists across ApplyBatch calls, so
-  /// the steady-state hot loop allocates nothing.
+  /// the steady-state drain allocates nothing.
   struct ShardScratch {
     std::vector<mobility::GpsRecord> bucket;  ///< phase A survivors
     std::vector<std::uint32_t> bucket_cell;   ///< grid cell per survivor
     std::vector<std::uint32_t> cell_start;    ///< counting-sort offsets
     std::vector<mobility::GpsRecord> grouped;
-    std::vector<mobility::MatchedRecord> matched;
+    std::vector<mobility::MatchedRecord> matched;  ///< this batch's matches
   };
   std::vector<ShardScratch> scratch_;
   std::vector<std::vector<std::vector<mobility::MatchedRecord>>> handoff_;

@@ -48,7 +48,6 @@ class SimEventQueue {
  public:
   void Push(const SimEvent& e) {
     heap_.push(Entry{e, next_id_++});
-    ++pushed_[static_cast<int>(e.type)];
     type_counters_[static_cast<int>(e.type)].Increment();
     depth_gauge_.Set(static_cast<double>(heap_.size()));
   }
@@ -65,14 +64,14 @@ class SimEventQueue {
     return e;
   }
 
-  /// Events pushed so far, by type (per-instance; the registry-backed
-  /// counters aggregate across simulators).
+  /// Events pushed so far, by type: this queue's own counters (the
+  /// registry merges same-name counters across simulators).
   std::uint64_t pushed(SimEventType type) const {
-    return pushed_[static_cast<int>(type)];
+    return type_counters_[static_cast<int>(type)].Value();
   }
   std::uint64_t total_pushed() const {
     std::uint64_t n = 0;
-    for (std::uint64_t p : pushed_) n += p;
+    for (const obs::Counter& c : type_counters_) n += c.Value();
     return n;
   }
 
@@ -92,7 +91,6 @@ class SimEventQueue {
 
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   std::uint64_t next_id_ = 0;
-  std::uint64_t pushed_[kNumSimEventTypes] = {};
 
   obs::Gauge depth_gauge_{"sim_event_queue_depth",
                           "Pending events in the simulator event queue."};

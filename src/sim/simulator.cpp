@@ -437,7 +437,6 @@ void RescueSimulator::AdvanceTeam(Team& team, SimTime T) {
       if (!cond.IsOpen(sid)) {
         // Flooded segment discovered en route: block, then replan to the
         // current objective on the true network as seen at discovery time.
-        ++blockage_events_;
         blockage_counter_.Increment();
         {
           char attrs[64];

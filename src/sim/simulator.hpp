@@ -126,7 +126,9 @@ class RescueSimulator {
   /// True network condition at simulation time t (cached hourly).
   const roadnet::NetworkCondition& ConditionAt(util::SimTime t);
   /// Times teams hit a flooded segment mid-route and had to replan.
-  int blockage_events() const { return blockage_events_; }
+  int blockage_events() const {
+    return static_cast<int>(blockage_counter_.Value());
+  }
   /// Free-flow (no-disaster) condition.
   const roadnet::NetworkCondition& FreeCondition() const { return free_cond_; }
 
@@ -262,7 +264,6 @@ class RescueSimulator {
   roadnet::NetworkCondition free_cond_;
 
   std::deque<PendingDecision> pending_decisions_;
-  int blockage_events_ = 0;
 
   // Event-driver state (unused by the time-stepped driver).
   SimEventQueue events_;
@@ -272,9 +273,10 @@ class RescueSimulator {
   std::uint64_t boundaries_visited_ = 0;
   double last_visited_boundary_ = -1.0;
 
-  // Registry-backed instruments; blockage_events_ above stays the exact
-  // per-instance count the accessor exposes, the counters aggregate across
-  // all live simulators (e.g. a parallel EpisodeRunner batch).
+  // Registry-backed instruments. Each instance's Value() is its own exact
+  // count (blockage_events() reads it); the registry merges same-name
+  // counters across all live simulators (e.g. a parallel EpisodeRunner
+  // batch).
   obs::Counter rounds_counter_{"sim_rounds_total",
                                "Dispatch rounds executed by simulators."};
   obs::Counter blockage_counter_{

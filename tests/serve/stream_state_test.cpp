@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -37,6 +38,18 @@ class StreamStateTest : public ::testing::Test {
     return r;
   }
 
+  /// Applies `records` as one drained batch.
+  static void Drain(StreamState& state,
+                    const std::vector<mobility::GpsRecord>& records) {
+    state.ApplyBatch(records.data(), records.size());
+  }
+
+  static StreamStateConfig Tiles(int shards) {
+    StreamStateConfig config;
+    config.shards = shards;
+    return config;
+  }
+
   /// A synthetic day: people hop between landmarks, pinging every few
   /// minutes; per-person timestamps strictly increase.
   mobility::GpsTrace SyntheticDay(int people = 12, int pings = 40) const {
@@ -62,9 +75,9 @@ class StreamStateTest : public ::testing::Test {
 
 TEST_F(StreamStateTest, TracksLatestPositionPerPerson) {
   StreamState state(city_.network, *index_);
-  state.Apply(At(1, 0.0, 0));
-  state.Apply(At(1, 60.0, 3));
-  state.Apply(At(2, 30.0, 5));
+  Drain(state, {At(1, 0.0, 0)});
+  Drain(state, {At(1, 60.0, 3)});
+  Drain(state, {At(2, 30.0, 5)});
 
   const auto& snap = state.Snapshot(60.0);
   ASSERT_EQ(snap.size(), 2u);
@@ -77,29 +90,32 @@ TEST_F(StreamStateTest, TracksLatestPositionPerPerson) {
 
 TEST_F(StreamStateTest, SnapshotContentMatchesBatchTracker) {
   const mobility::GpsTrace trace = SyntheticDay();
-  sim::PopulationTracker batch(trace);
 
-  StreamState streamed(city_.network, *index_);
-  std::size_t cursor = 0;
-  for (double t : {600.0, 1800.0, 3600.0, 5400.0}) {
-    while (cursor < trace.size() && trace[cursor].t <= t) {
-      streamed.Apply(trace[cursor]);
-      ++cursor;
-    }
-    const auto& a = batch.Snapshot(t);
-    const auto& b = streamed.Snapshot(t);
-    ASSERT_EQ(a.size(), b.size()) << "t=" << t;
+  for (const int shards : {1, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sim::PopulationTracker batch(trace);  // forward-only: one per pass
+    StreamState streamed(city_.network, *index_, Tiles(shards));
+    std::size_t cursor = 0;
+    for (double t : {600.0, 1800.0, 3600.0, 5400.0}) {
+      // Everything due by t, as one drain.
+      const std::size_t begin = cursor;
+      while (cursor < trace.size() && trace[cursor].t <= t) ++cursor;
+      streamed.ApplyBatch(trace.data() + begin, cursor - begin);
+      const auto& a = batch.Snapshot(t);
+      const auto& b = streamed.Snapshot(t);
+      ASSERT_EQ(a.size(), b.size()) << "t=" << t;
 
-    // Same content keyed by person (row order is implementation detail).
-    std::unordered_map<mobility::PersonId, mobility::GpsRecord> want;
-    for (const auto& r : a) want[r.person] = r;
-    for (const auto& r : b) {
-      const auto it = want.find(r.person);
-      ASSERT_NE(it, want.end()) << "person " << r.person;
-      EXPECT_DOUBLE_EQ(r.t, it->second.t);
-      EXPECT_DOUBLE_EQ(r.pos.lat, it->second.pos.lat);
-      EXPECT_DOUBLE_EQ(r.pos.lon, it->second.pos.lon);
-      EXPECT_DOUBLE_EQ(r.speed_mps, it->second.speed_mps);
+      // Same content keyed by person (row order is implementation detail).
+      std::unordered_map<mobility::PersonId, mobility::GpsRecord> want;
+      for (const auto& r : a) want[r.person] = r;
+      for (const auto& r : b) {
+        const auto it = want.find(r.person);
+        ASSERT_NE(it, want.end()) << "person " << r.person;
+        EXPECT_DOUBLE_EQ(r.t, it->second.t);
+        EXPECT_DOUBLE_EQ(r.pos.lat, it->second.pos.lat);
+        EXPECT_DOUBLE_EQ(r.pos.lon, it->second.pos.lon);
+        EXPECT_DOUBLE_EQ(r.speed_mps, it->second.speed_mps);
+      }
     }
   }
 }
@@ -113,15 +129,18 @@ TEST_F(StreamStateTest, IncrementalFlowsMatchBatchAnalyzer) {
   batch.Ingest(matcher.MatchTrace(trace));
 
   // Streamed path: one record at a time, in time order.
-  StreamState streamed(city_.network, *index_);
-  streamed.ApplyAll(trace);
+  for (const int shards : {1, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    StreamState streamed(city_.network, *index_, Tiles(shards));
+    for (const mobility::GpsRecord& r : trace) streamed.ApplyBatch(&r, 1);
 
-  for (std::size_t seg = 0; seg < city_.network.num_segments(); ++seg) {
-    for (int h = 0; h < 24; ++h) {
-      ASSERT_DOUBLE_EQ(
-          streamed.flows().SegmentFlow(static_cast<roadnet::SegmentId>(seg), h),
-          batch.SegmentFlow(static_cast<roadnet::SegmentId>(seg), h))
-          << "seg=" << seg << " hour=" << h;
+    for (std::size_t seg = 0; seg < city_.network.num_segments(); ++seg) {
+      for (int h = 0; h < 24; ++h) {
+        const auto sid = static_cast<roadnet::SegmentId>(seg);
+        ASSERT_DOUBLE_EQ(streamed.flows().SegmentFlow(sid, h),
+                         batch.SegmentFlow(sid, h))
+            << "seg=" << seg << " hour=" << h;
+      }
     }
   }
 }
@@ -136,8 +155,8 @@ TEST_F(StreamStateTest, CountsUnmatchedRecords) {
   mobility::GpsRecord far = At(1, 0.0, 0);
   far.pos.lat += 1.0;
   far.pos.lon += 1.0;
-  state.Apply(far);
-  state.Apply(At(2, 10.0, 0));
+  Drain(state, {far});
+  Drain(state, {At(2, 10.0, 0)});
 
   const StreamStateCounters& c = state.counters();
   EXPECT_EQ(c.applied, 2u);
@@ -161,8 +180,8 @@ TEST_F(StreamStateTest, QuarantinesNonFiniteRecords) {
   mobility::GpsRecord nan_t = At(4, 3.0, 0);
   nan_t.t = std::numeric_limits<double>::quiet_NaN();
 
-  for (const auto& r : {nan_lat, inf_lon, nan_speed, nan_t}) state.Apply(r);
-  state.Apply(At(5, 4.0, 0));  // one clean record
+  for (const auto& r : {nan_lat, inf_lon, nan_speed, nan_t}) Drain(state, {r});
+  Drain(state, {At(5, 4.0, 0)});  // one clean record
 
   const StreamStateCounters& c = state.counters();
   EXPECT_EQ(c.quarantined_non_finite, 4u);
@@ -180,8 +199,8 @@ TEST_F(StreamStateTest, QuarantinesOutOfBoxWhenBoxConfigured) {
   mobility::GpsRecord inside = At(1, 0.0, 0);
   mobility::GpsRecord outside = At(2, 1.0, 0);
   outside.pos.lat += 90.0;
-  state.Apply(inside);
-  state.Apply(outside);
+  Drain(state, {inside});
+  Drain(state, {outside});
 
   EXPECT_EQ(state.counters().applied, 1u);
   EXPECT_EQ(state.counters().quarantined_out_of_box, 1u);
@@ -190,16 +209,16 @@ TEST_F(StreamStateTest, QuarantinesOutOfBoxWhenBoxConfigured) {
 
 TEST_F(StreamStateTest, QuarantinesStaleButAcceptsEqualTimestamps) {
   StreamState state(city_.network, *index_);
-  state.Apply(At(1, 100.0, 0));
+  Drain(state, {At(1, 100.0, 0)});
   // Strictly older: stale, the newer position survives.
-  state.Apply(At(1, 50.0, 3));
+  Drain(state, {At(1, 50.0, 3)});
   EXPECT_EQ(state.counters().quarantined_stale, 1u);
   EXPECT_EQ(state.Snapshot(100.0)[0].t, 100.0);
 
   // Equal timestamp: overwrite, NOT quarantine — the batch tracker's
   // stable-sort "latest wins" semantics (bit-identity depends on this).
   const mobility::GpsRecord equal_t = At(1, 100.0, 5);
-  state.Apply(equal_t);
+  Drain(state, {equal_t});
   EXPECT_EQ(state.counters().quarantined_stale, 1u);
   EXPECT_EQ(state.counters().applied, 2u);
   const auto& snap = state.Snapshot(100.0);
@@ -215,9 +234,9 @@ TEST_F(StreamStateTest, ValidationOffTrustsInput) {
 
   mobility::GpsRecord nan_lat = At(1, 0.0, 0);
   nan_lat.pos.lat = std::numeric_limits<double>::quiet_NaN();
-  state.Apply(nan_lat);
-  state.Apply(At(2, 1.0, 0));
-  state.Apply(At(2, 0.5, 3));  // out of order, trusted anyway
+  Drain(state, {nan_lat});
+  Drain(state, {At(2, 1.0, 0)});
+  Drain(state, {At(2, 0.5, 3)});  // out of order, trusted anyway
 
   EXPECT_EQ(state.counters().quarantined(), 0u);
   EXPECT_EQ(state.counters().applied, 3u);
@@ -228,49 +247,126 @@ TEST_F(StreamStateTest, ExportRestoreRoundTrip) {
   // export, restore into the second: snapshots, counters and flow counts
   // must all carry over (this is what crash recovery replays onto).
   const mobility::GpsTrace trace = SyntheticDay();
-  StreamState original(city_.network, *index_);
-  original.ApplyAll(trace);
+  for (const int shards : {1, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    StreamState original(city_.network, *index_, Tiles(shards));
+    Drain(original, trace);
 
-  std::vector<mobility::GpsRecord> latest = original.ExportLatest();
-  // ExportLatest is sorted by person (deterministic checkpoint bytes).
-  for (std::size_t i = 1; i < latest.size(); ++i) {
-    EXPECT_LT(latest[i - 1].person, latest[i].person);
-  }
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> cells;
-  std::vector<std::uint64_t> seen;
-  original.ExportFlowState(&cells, &seen);
+    std::vector<mobility::GpsRecord> latest = original.ExportLatest();
+    // ExportLatest is sorted by person (deterministic checkpoint bytes).
+    for (std::size_t i = 1; i < latest.size(); ++i) {
+      EXPECT_LT(latest[i - 1].person, latest[i].person);
+    }
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> cells;
+    std::vector<std::uint64_t> seen;
+    original.ExportFlowState(&cells, &seen);
 
-  StreamState restored(city_.network, *index_);
-  restored.Restore(latest, original.counters(), cells, seen);
+    StreamState restored(city_.network, *index_, Tiles(shards));
+    restored.Restore(latest, original.counters(), cells, seen);
 
-  EXPECT_EQ(restored.num_people_seen(), original.num_people_seen());
-  EXPECT_EQ(restored.counters().applied, original.counters().applied);
-  const double t = trace.back().t;
-  ASSERT_EQ(restored.Snapshot(t).size(), original.Snapshot(t).size());
-  for (std::size_t seg = 0; seg < city_.network.num_segments(); ++seg) {
-    for (int h = 0; h < 24; ++h) {
-      ASSERT_DOUBLE_EQ(
-          restored.flows().SegmentFlow(static_cast<roadnet::SegmentId>(seg), h),
-          original.flows().SegmentFlow(static_cast<roadnet::SegmentId>(seg), h))
-          << "seg=" << seg << " hour=" << h;
+    EXPECT_EQ(restored.num_people_seen(), original.num_people_seen());
+    EXPECT_EQ(restored.counters().applied, original.counters().applied);
+    const double t = trace.back().t;
+    ASSERT_EQ(restored.Snapshot(t).size(), original.Snapshot(t).size());
+    for (std::size_t seg = 0; seg < city_.network.num_segments(); ++seg) {
+      for (int h = 0; h < 24; ++h) {
+        const auto sid = static_cast<roadnet::SegmentId>(seg);
+        ASSERT_DOUBLE_EQ(restored.flows().SegmentFlow(sid, h),
+                         original.flows().SegmentFlow(sid, h))
+            << "seg=" << seg << " hour=" << h;
+      }
+    }
+
+    // The flow dedup state restored too: re-applying an already-counted
+    // record must not double-count anywhere (crash recovery replays records
+    // that overlap the checkpoint).
+    const int hour = static_cast<int>(trace.back().t / 3600.0);
+    std::vector<double> before;
+    for (std::size_t seg = 0; seg < city_.network.num_segments(); ++seg) {
+      before.push_back(restored.flows().SegmentFlow(
+          static_cast<roadnet::SegmentId>(seg), hour));
+    }
+    Drain(restored, {trace.back()});
+    for (std::size_t seg = 0; seg < city_.network.num_segments(); ++seg) {
+      EXPECT_DOUBLE_EQ(restored.flows().SegmentFlow(
+                           static_cast<roadnet::SegmentId>(seg), hour),
+                       before[seg])
+          << "seg=" << seg;
     }
   }
+}
 
-  // The flow dedup state restored too: re-applying an already-counted
-  // record must not double-count anywhere (crash recovery replays records
-  // that overlap the checkpoint).
-  const int hour = static_cast<int>(trace.back().t / 3600.0);
-  std::vector<double> before;
-  for (std::size_t seg = 0; seg < city_.network.num_segments(); ++seg) {
-    before.push_back(
-        restored.flows().SegmentFlow(static_cast<roadnet::SegmentId>(seg), hour));
+// --- Drain shapes ------------------------------------------------------------
+
+/// Everything a checkpoint carries, for whole-state comparisons.
+struct ExportedState {
+  std::vector<mobility::PersonId> people;
+  std::vector<double> times;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> cells;
+  std::vector<std::uint64_t> seen;
+  std::uint64_t applied = 0, matched = 0, unmatched = 0;
+
+  explicit ExportedState(const StreamState& state) {
+    for (const mobility::GpsRecord& r : state.ExportLatest()) {
+      people.push_back(r.person);
+      times.push_back(r.t);
+    }
+    state.ExportFlowState(&cells, &seen);
+    applied = state.counters().applied;
+    matched = state.counters().matched;
+    unmatched = state.counters().unmatched;
   }
-  restored.Apply(trace.back());
-  for (std::size_t seg = 0; seg < city_.network.num_segments(); ++seg) {
-    EXPECT_DOUBLE_EQ(
-        restored.flows().SegmentFlow(static_cast<roadnet::SegmentId>(seg), hour),
-        before[seg])
-        << "seg=" << seg;
+  bool operator==(const ExportedState& o) const {
+    return people == o.people && times == o.times && cells == o.cells &&
+           seen == o.seen && applied == o.applied && matched == o.matched &&
+           unmatched == o.unmatched;
+  }
+};
+
+TEST_F(StreamStateTest, EmptyDrainsChangeNothing) {
+  const mobility::GpsTrace trace = SyntheticDay();
+  for (const int shards : {1, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    StreamState state(city_.network, *index_, Tiles(shards));
+    state.ApplyBatch(nullptr, 0);
+    EXPECT_EQ(state.num_people_seen(), 0u);
+    EXPECT_EQ(state.counters().applied, 0u);
+    EXPECT_TRUE(state.Snapshot(0.0).empty());
+
+    Drain(state, trace);
+    const ExportedState before(state);
+    state.ApplyBatch(nullptr, 0);
+    state.ApplyBatch(trace.data(), 0);
+    EXPECT_TRUE(ExportedState(state) == before);
+  }
+}
+
+TEST_F(StreamStateTest, OneRecordDrainsMatchOneDrain) {
+  // However a stream is split into drains, the state ends the same; and
+  // every applied record is tallied exactly once as matched or unmatched,
+  // agreeing with the batch matcher.
+  mobility::GpsTrace trace = SyntheticDay();
+  for (std::size_t i = 0; i < trace.size(); i += 4) {
+    trace[i].pos.lat += 1.0;  // far off the road network: unmatched
+  }
+  const mobility::MapMatcher matcher(city_.network, *index_);
+  const std::size_t want_matched = matcher.MatchTrace(trace).size();
+  ASSERT_GT(want_matched, 0u);
+  ASSERT_LT(want_matched, trace.size());
+
+  for (const int shards : {1, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    StreamState one_drain(city_.network, *index_, Tiles(shards));
+    Drain(one_drain, trace);
+    StreamState per_record(city_.network, *index_, Tiles(shards));
+    for (const mobility::GpsRecord& r : trace) per_record.ApplyBatch(&r, 1);
+
+    EXPECT_TRUE(ExportedState(per_record) == ExportedState(one_drain));
+    for (const StreamState* state : {&one_drain, &per_record}) {
+      EXPECT_EQ(state->counters().applied, trace.size());
+      EXPECT_EQ(state->counters().matched, want_matched);
+      EXPECT_EQ(state->counters().unmatched, trace.size() - want_matched);
+    }
   }
 }
 
