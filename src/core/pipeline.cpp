@@ -40,7 +40,8 @@ std::unique_ptr<predict::SvmRequestPredictor> TrainSvmPredictor(
   const util::SimTime storm_mid = 0.5 * (world.train.spec.storm.storm_begin_s +
                                          world.train.spec.storm.storm_end_s);
   return std::make_unique<predict::SvmRequestPredictor>(
-      *world.train.factors, deliveries, cleaned, storm_mid, config);
+      *world.train.factors, *world.train.flood, deliveries, cleaned, storm_mid,
+      config);
 }
 
 std::unique_ptr<predict::TimeSeriesPredictor> BuildTimeSeriesPredictor(

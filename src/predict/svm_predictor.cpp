@@ -18,7 +18,7 @@ SvmRequestPredictor::SvmRequestPredictor(const weather::FactorSampler& factors,
       threshold_(threshold) {}
 
 SvmRequestPredictor::SvmRequestPredictor(
-    const weather::FactorSampler& factors,
+    const weather::FactorSampler& factors, const weather::FloodModel& flood,
     const std::vector<mobility::HospitalDelivery>& deliveries,
     const mobility::GpsTrace& trace, util::SimTime storm_mid_time,
     SvmPredictorConfig config)
@@ -58,8 +58,12 @@ SvmRequestPredictor::SvmRequestPredictor(
   next_targets();
   auto flush = [&]() {
     // (a) Never-rescued people at rescue-time-matched instants: the peer
-    //     who faced the same storm hour but did not need rescue.
-    if (best_matched != nullptr && rescued.count(cur) == 0) {
+    //     who faced the same storm hour but did not need rescue. Not where
+    //     the water closes roads: that is boat-rescue territory, so not
+    //     being rescued by a team there is no evidence of safety.
+    if (best_matched != nullptr && rescued.count(cur) == 0 &&
+        flood.DepthAt(best_matched->pos, target_time) <
+            flood.config().close_depth_m) {
       const weather::FactorVector h =
           factors_.At(best_matched->pos, target_time);
       neg_rows.push_back({h.precipitation_mm, h.wind_mph, h.altitude_m});

@@ -6,7 +6,10 @@
 // ground truth "was rescued"; each rescued person contributes the factor
 // vector at their previous staying position before delivery (positive), and
 // non-rescued people contribute factors at sampled storm-time positions
-// (negative).
+// (negative). A never-rescued person standing in water deep enough to close
+// roads is not counted as a negative: there the flood is boat-rescue
+// territory, outside the vehicle dispatch's scope, so "not rescued by a
+// team" says nothing about "did not need rescue".
 #pragma once
 
 #include <unordered_map>
@@ -19,6 +22,7 @@
 #include "mobility/hospital_detector.hpp"
 #include "roadnet/spatial_index.hpp"
 #include "weather/disaster_factors.hpp"
+#include "weather/flood_model.hpp"
 
 namespace mobirescue::predict {
 
@@ -50,8 +54,14 @@ class SvmRequestPredictor {
  public:
   /// Builds training rows from a historical trace and trains the SVM.
   /// `deliveries` must come from the same trace (detector output);
-  /// `trace` provides the negative-class position samples.
+  /// `trace` provides the negative-class position samples. `flood` is the
+  /// same storm's flood model, read only here: a never-rescued person's
+  /// storm-time sample is dropped where its depth reaches `close_depth_m`
+  /// (roads closed; from TraceConfig::evacuated_depth_m people are
+  /// pre-evacuated and raise no request). Kept, those rows would teach the
+  /// classifier that deep, low-lying water is safe.
   SvmRequestPredictor(const weather::FactorSampler& factors,
+                      const weather::FloodModel& flood,
                       const std::vector<mobility::HospitalDelivery>& deliveries,
                       const mobility::GpsTrace& trace,
                       util::SimTime storm_mid_time,

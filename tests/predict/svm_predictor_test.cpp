@@ -63,6 +63,25 @@ TEST_F(SvmPredictorTest, HeldOutAccuracyIsHigh) {
   EXPECT_GT(predictor_->training_rows(), 100u);
 }
 
+TEST_F(SvmPredictorTest, LinearWeightsFollowTheDocumentedSigns) {
+  // SvmPredictorConfig picks the linear kernel so that the decision
+  // extrapolates as "more rain => more danger, higher ground => less".
+  // The primal weights in the scaler's space carry the same signs as in raw
+  // units (the scaler divides by a positive std).
+  const ml::SvmModel& model = predictor_->model();
+  ASSERT_EQ(model.kernel().type, ml::KernelType::kLinear);
+  ASSERT_GT(model.num_support_vectors(), 0u);
+  std::vector<double> w(model.support_vector(0).size(), 0.0);
+  for (std::size_t i = 0; i < model.num_support_vectors(); ++i) {
+    for (std::size_t d = 0; d < w.size(); ++d) {
+      w[d] += model.coefficient(i) * model.support_vector(i)[d];
+    }
+  }
+  ASSERT_EQ(w.size(), 3u);  // h = (P, W, A)
+  EXPECT_GT(w[0], 0.0) << "precipitation weight";
+  EXPECT_LT(w[2], 0.0) << "altitude weight";
+}
+
 TEST_F(SvmPredictorTest, FloodedPositionPredictedPositive) {
   // At the eval storm's end, the wet low-lying south-east screams "rescue".
   // (Pre-storm inputs are out of the training distribution — the system
